@@ -3,113 +3,30 @@
 Build weighted networks from daily return panels (edge weights from
 pairwise tail impact), measure their robustness through the spectrum of
 the weighted Laplacian, and rank firms by how much their removal degrades
-the network.
+the network. Everything else lives in the submodules.
 """
 
 from __future__ import annotations
 
 from .errors import RiskNetError
-from .measures import (
-    PairImpact,
-    RiskProfile,
-    edge_weight,
-    estimate_es,
-    estimate_mes,
-    estimate_var,
-    impact,
-    risk_profile,
-)
-from .network import (
-    DirectedWeights,
-    RiskNetwork,
-    VertexStats,
-    build_directed,
-    density,
-    read_network,
-    symmetrize,
-    vertex_stats,
-    write_network,
-)
-from .panel import ReturnPanel, load_returns, save_returns
-from .pipeline import (
-    DEFAULT_SUB_PERIODS,
-    RankingTable,
-    StudyConfig,
-    StudyResult,
-    SubPeriod,
-    analyze_panel,
-    rank_firms,
-    run_study,
-    timeseries_rows,
-    weight_distribution_stats,
-    write_study,
-)
-from .spectral import (
-    LaplacianSpectrum,
-    RobustnessReport,
-    barrat_clustering,
-    effective_resistance_oracle,
-    kirchhoff_index,
-    largest_component,
-    normalized_kirchhoff,
-    spectrum,
-    weighted_laplacian,
-    werc,
-    werc_all,
-)
-from .synthetic import generate_panel
-from .windows import WindowScheme, WindowSlice, pairwise_common_days, window_panel
+from .network import build_directed, symmetrize
+from .panel import load_returns
+from .pipeline import StudyConfig, run_study, write_study
+from .spectral import werc_all
+from .windows import WindowScheme, window_panel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RiskNetError",
-    "ReturnPanel",
     "load_returns",
-    "save_returns",
     "WindowScheme",
-    "WindowSlice",
     "window_panel",
-    "pairwise_common_days",
-    "RiskProfile",
-    "PairImpact",
-    "estimate_var",
-    "estimate_es",
-    "estimate_mes",
-    "risk_profile",
-    "impact",
-    "edge_weight",
-    "DirectedWeights",
-    "RiskNetwork",
-    "VertexStats",
     "build_directed",
     "symmetrize",
-    "density",
-    "vertex_stats",
-    "read_network",
-    "write_network",
-    "LaplacianSpectrum",
-    "RobustnessReport",
-    "weighted_laplacian",
-    "spectrum",
-    "kirchhoff_index",
-    "normalized_kirchhoff",
-    "effective_resistance_oracle",
-    "largest_component",
-    "werc",
     "werc_all",
-    "barrat_clustering",
     "StudyConfig",
-    "StudyResult",
-    "SubPeriod",
-    "DEFAULT_SUB_PERIODS",
-    "RankingTable",
     "run_study",
-    "analyze_panel",
-    "rank_firms",
-    "weight_distribution_stats",
-    "timeseries_rows",
     "write_study",
-    "generate_panel",
     "__version__",
 ]

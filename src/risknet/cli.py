@@ -21,11 +21,11 @@ import sys
 from pathlib import Path
 
 from .charts import emit_charts
-from .errors import ConfigError, RiskNetError
-from .network import build_directed, symmetrize, write_network
+from .errors import RiskNetError
 from .panel import load_returns
 from .pipeline import (
     StudyConfig,
+    build_networks,
     config_from_sources,
     load_config_file,
     parse_periods,
@@ -33,12 +33,10 @@ from .pipeline import (
     read_networks,
     read_reports,
     run_study,
+    write_networks,
     write_rankings,
     write_study,
 )
-from .windows import window_panel
-
-log = logging.getLogger(__name__)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool) -> None:
@@ -98,24 +96,12 @@ def _config_from_args(args: argparse.Namespace) -> StudyConfig:
 
 
 def _cmd_build(config: StudyConfig) -> int:
-    if config.input_path is None:
-        raise ConfigError("build needs --input")
     panel = load_returns(config.input_path, delimiter=config.delimiter)
-    written = 0
-    out = config.out_dir / "networks"
-    out.mkdir(parents=True, exist_ok=True)
-    for window in window_panel(panel, config.scheme):
-        if window.degenerate:
-            log.warning(
-                "skipping %s: %d eligible firms", window.label, window.n_firms
-            )
-            continue
-        net = symmetrize(build_directed(window, config.alpha))
-        write_network(net, out / f"window_{net.window_id}.json")
-        written += 1
-    if written == 0:
+    networks, _ = build_networks(panel, config)
+    if not networks:
         raise RiskNetError("no non-degenerate window in the input")
-    print(f"wrote {written} networks under {out}")
+    write_networks(networks, config.out_dir)
+    print(f"wrote {len(networks)} networks under {config.out_dir / 'networks'}")
     return 0
 
 

@@ -52,4 +52,5 @@ class DisconnectedNetworkError(RiskNetError):
 
 
 class NumericalError(RiskNetError):
-    """The eigensolver or pseudo-inverse failed to converge."""
+    """The eigensolver or pseudo-inverse failed to converge, or a result
+    came out NaN."""

@@ -23,6 +23,10 @@ does not exceed the unconditional mean (otherwise the source exerts no
 measurable drag and the weight is zero). Both quantities are invariant
 under positive scaling of either series and under location shifts of the
 target.
+
+These scalar functions are the definition: ``network.build_directed``
+computes the same quantities for a whole window at once, and its tests
+compare it with them pair by pair.
 """
 
 from __future__ import annotations
@@ -36,14 +40,12 @@ from .errors import DegeneratePairError, EstimationError, InestimablePairError
 
 __all__ = [
     "RiskProfile",
-    "PairImpact",
     "estimate_var",
     "estimate_es",
     "estimate_mes",
     "risk_profile",
     "impact",
     "edge_weight",
-    "pair_impact",
 ]
 
 
@@ -69,18 +71,6 @@ class RiskProfile:
             raise EstimationError(
                 f"{self.firm}: expected shortfall {self.es} below loss quantile {-self.var_q}"
             )
-
-
-@dataclass(frozen=True)
-class PairImpact:
-    """Directed tail effect of ``source`` on ``target`` in one window."""
-
-    source: str
-    target: str
-    n_common: int
-    mes: float
-    impact: float
-    weight: float
 
 
 def _check_series(series: np.ndarray, alpha: float) -> np.ndarray:
@@ -193,28 +183,3 @@ def edge_weight(
         raise DegeneratePairError(
             f"pair {source_profile.firm} -> {target_profile.firm}: {exc}"
         ) from None
-
-
-def pair_impact(
-    target_profile: RiskProfile,
-    source_profile: RiskProfile,
-    target: np.ndarray,
-    source: np.ndarray,
-    alpha: float,
-) -> PairImpact:
-    """Full directed record for one pair from aligned common-day series.
-
-    The impact field is reported as 1 - weight: clipping the raw impact at
-    1 is equivalent to the sign condition that zeroes the weight, so the
-    two are complements whenever the pair is non-degenerate.
-    """
-    mes = estimate_mes(target, source, alpha)
-    weight = edge_weight(target_profile, source_profile, mes)
-    return PairImpact(
-        source=source_profile.firm,
-        target=target_profile.firm,
-        n_common=int(np.asarray(source).size),
-        mes=mes,
-        impact=1.0 - weight,
-        weight=weight,
-    )

@@ -2,10 +2,13 @@
 
 For each ordered firm pair (source j, target i) inside one window the
 directed weight is the complement of the source's tail impact on the
-target, estimated on the pair's common observed days. Pairs that cannot be
-estimated (short overlap, degenerate target, estimator domain violations)
-get weight zero and a diagnostic record instead of an exception: one bad
-pair must never sink a window.
+target. The target's mean and expected shortfall come from its own
+observed days; the source's quantile and the target's marginal expected
+shortfall come from the pair's common observed days. One masked estimator
+computes every pair this way, whether or not the window has missing days.
+Pairs that cannot be estimated (short overlap, too few days, degenerate
+target) get weight zero and a diagnostic record instead of an exception:
+one bad pair must never sink a window.
 
 The undirected network averages the two directions, zeros included, so a
 one-sided effect still leaves a (weaker) edge.
@@ -24,25 +27,16 @@ from typing import IO
 
 import numpy as np
 
-from .errors import (
-    DegeneratePairError,
-    EstimationError,
-    InestimablePairError,
-    NetworkFormatError,
-    WindowError,
-)
-from .measures import edge_weight, estimate_mes, risk_profile
-from .windows import WindowSlice, pairwise_common_days
+from .errors import EstimationError, NetworkFormatError, WindowError
+from .windows import WindowSlice
 
 __all__ = [
     "Diagnostic",
     "DirectedWeights",
     "RiskNetwork",
-    "VertexStats",
     "build_directed",
     "symmetrize",
     "density",
-    "vertex_stats",
     "network_to_dict",
     "network_from_dict",
     "write_network",
@@ -126,133 +120,24 @@ class RiskNetwork:
         return self.weights.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class VertexStats:
-    firm: str
-    degree: int
-    strength: float
-
-
-def _firm_profiles(window: WindowSlice, alpha: float):
-    """Profiles for each slice firm on its own observed days; firms whose
-    series violate the estimator domain come back as None plus a
-    diagnostic."""
-    profiles = []
-    diags: list[Diagnostic] = []
-    for col, firm in enumerate(window.firms):
-        try:
-            profiles.append(risk_profile(firm, window.observed(col), alpha))
-        except EstimationError as exc:
-            profiles.append(None)
-            diags.append(Diagnostic("inestimable_firm", None, firm, str(exc)))
-    return profiles, diags
-
-
-def _build_directed_fast(window: WindowSlice, alpha: float) -> DirectedWeights:
-    """Vectorized path for fully observed slices."""
-    r = window.returns
-    t, n = r.shape
-    k = max(1, math.floor(alpha * t))
-    q = np.partition(r, k - 1, axis=0)[k - 1]
-    tail = r <= q
-    counts = tail.sum(axis=0)
-    means = r.mean(axis=0)
-    es = -(r * tail).sum(axis=0) / counts
-    # cond[j, i]: mean of target i's returns over source j's tail days
-    cond = (tail.T.astype(float) @ r) / counts[:, None]
-    mes = -cond
-    spread = means + es
-    diags: list[Diagnostic] = []
-    matrix = np.zeros((n, n))
-    ok = spread > 0.0
-    for i in np.flatnonzero(~ok):
-        diags.append(
-            Diagnostic(
-                "degenerate_firm",
-                None,
-                window.firms[i],
-                f"non-positive tail spread {spread[i]}",
-            )
-        )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = (es[None, :] - mes) / spread[None, :]
-    clipped = np.clip(raw, 0.0, 1.0)
-    matrix[:, ok] = 1.0 - clipped[:, ok]
-    np.fill_diagonal(matrix, 0.0)
-    return DirectedWeights(
-        window_id=window.window_id,
-        label=window.label,
-        firms=window.firms,
-        matrix=matrix,
-        diagnostics=tuple(diags),
-    )
-
-
-def _build_directed_general(window: WindowSlice, alpha: float) -> DirectedWeights:
-    """Per-pair path honouring missing days via common-day intersection."""
-    n = window.n_firms
-    matrix = np.zeros((n, n))
-    profiles, diags = _firm_profiles(window, alpha)
-    floor = max(window.min_obs, math.ceil(1.0 / alpha))
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = pairwise_common_days(window, a, b)
-            if len(common) < floor:
-                diags.append(
-                    Diagnostic(
-                        "short_overlap",
-                        window.firms[a],
-                        window.firms[b],
-                        f"{len(common)} common days, need {floor}",
-                    )
-                )
-                continue
-            series_a = window.returns[common, a]
-            series_b = window.returns[common, b]
-            for target, source, r_t, r_s in (
-                (a, b, series_a, series_b),
-                (b, a, series_b, series_a),
-            ):
-                if profiles[target] is None or profiles[source] is None:
-                    continue
-                try:
-                    mes = estimate_mes(r_t, r_s, alpha)
-                    matrix[source, target] = edge_weight(
-                        profiles[target], profiles[source], mes
-                    )
-                except DegeneratePairError as exc:
-                    diags.append(
-                        Diagnostic(
-                            "degenerate_pair",
-                            window.firms[source],
-                            window.firms[target],
-                            str(exc),
-                        )
-                    )
-                except (InestimablePairError, EstimationError) as exc:
-                    diags.append(
-                        Diagnostic(
-                            "inestimable_pair",
-                            window.firms[source],
-                            window.firms[target],
-                            str(exc),
-                        )
-                    )
-    return DirectedWeights(
-        window_id=window.window_id,
-        label=window.label,
-        firms=window.firms,
-        matrix=matrix,
-        diagnostics=tuple(diags),
-    )
-
-
 def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
     """Estimate all directed pair weights of one window.
 
-    Fully observed windows take a vectorized route; windows with missing
-    days fall back to per-pair estimation on common observed days. Both
-    routes agree exactly on fully observed data.
+    Works from ``window.mask``; a fully observed window is the case of an
+    all-true mask. Each firm's mean and expected shortfall (ES) come from
+    its own observed days. For each source j, the days every target shares
+    with j are walked in the order of j's returns (one sort of j per
+    window), which gives the k-th order statistic of j on every pair's
+    common days at once, k = max(1, floor(alpha * common days)). The pair's
+    tail is the common days at or below it, ties included, the target's
+    MES is minus its mean return over that tail, and the weight is
+    1 - clip((ES - MES) / (mean + ES), 0, 1).
+
+    Weights are zero, with a diagnostic, for pairs with fewer than
+    max(min_obs, ceil(1 / alpha)) common days (``short_overlap``, one per
+    unordered pair), for every pair of a firm with fewer than ceil(1 /
+    alpha) observed days (``inestimable_firm``) and for every edge into a
+    firm whose tail spread mean + ES is not positive (``degenerate_firm``).
     """
     if window.degenerate:
         raise WindowError(
@@ -260,18 +145,78 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
         )
     if not 0.0 < alpha < 0.5:
         raise EstimationError(f"tail level must lie in (0, 0.5), got {alpha}")
-    if window.n_days < math.ceil(1.0 / alpha):
-        profiles, diags = _firm_profiles(window, alpha)
-        return DirectedWeights(
-            window_id=window.window_id,
-            label=window.label,
-            firms=window.firms,
-            matrix=np.zeros((window.n_firms, window.n_firms)),
-            diagnostics=tuple(diags),
+    firms = window.firms
+    mask = window.mask
+    r = np.where(mask, window.returns, 0.0)
+    n = r.shape[1]
+    needed = math.ceil(1.0 / alpha)
+    floor = max(window.min_obs, needed)
+    diags: list[Diagnostic] = []
+
+    # each firm on its own observed days; unobserved days sort last
+    n_obs = mask.sum(axis=0)
+    order = np.argsort(np.where(mask, r, np.inf), axis=0)
+    ranked = np.take_along_axis(r, order, axis=0)
+    k_own = np.maximum(1, np.floor(alpha * n_obs).astype(int))
+    own_tail = mask & (r <= ranked[k_own - 1, np.arange(n)])
+    means = r.sum(axis=0) / n_obs
+    es = -(r * own_tail).sum(axis=0) / own_tail.sum(axis=0)
+    spread = means + es
+    for i in np.flatnonzero(n_obs < needed):
+        diags.append(
+            Diagnostic(
+                "inestimable_firm",
+                None,
+                firms[i],
+                f"need at least {needed} observations for tail level {alpha}, "
+                f"got {n_obs[i]}",
+            )
         )
-    if window.mask.all():
-        return _build_directed_fast(window, alpha)
-    return _build_directed_general(window, alpha)
+    degenerate = (n_obs >= needed) & ~(spread > 0.0)
+    for i in np.flatnonzero(degenerate):
+        diags.append(
+            Diagnostic(
+                "degenerate_firm",
+                None,
+                firms[i],
+                f"non-positive tail spread {spread[i]}",
+            )
+        )
+
+    matrix = np.zeros((n, n))
+    for j in range(n):
+        common = mask & mask[:, j : j + 1]
+        n_common = common.sum(axis=0)
+        for i in np.flatnonzero(n_common[j + 1 :] < floor) + j + 1:
+            diags.append(
+                Diagnostic(
+                    "short_overlap",
+                    firms[j],
+                    firms[i],
+                    f"{n_common[i]} common days, need {floor}",
+                )
+            )
+        # a firm with fewer than ceil(1/alpha) days has no pair reaching the
+        # floor, so the floor also keeps inestimable firms out
+        live = (n_common >= floor) & ~degenerate
+        live[j] = False
+        if not live.any():
+            continue
+        k = np.maximum(1, np.floor(alpha * n_common).astype(int))
+        reached = np.cumsum(common[order[:, j]], axis=0) >= k
+        q = ranked[reached.argmax(axis=0), j]
+        tail = common & (r[:, j : j + 1] <= q)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mes = -((r * tail).sum(axis=0) / tail.sum(axis=0))
+            raw = (es - mes) / spread
+        matrix[j, live] = 1.0 - np.clip(raw[live], 0.0, 1.0)
+    return DirectedWeights(
+        window_id=window.window_id,
+        label=window.label,
+        firms=firms,
+        matrix=matrix,
+        diagnostics=tuple(diags),
+    )
 
 
 def symmetrize(directed: DirectedWeights) -> RiskNetwork:
@@ -298,16 +243,6 @@ def density(net: RiskNetwork) -> float:
     if net.n < 2:
         raise ValueError("density needs at least two vertices")
     return net.m / math.comb(net.n, 2)
-
-
-def vertex_stats(net: RiskNetwork) -> tuple[VertexStats, ...]:
-    """Degree and strength of every vertex, in network order."""
-    degrees = net.adjacency.sum(axis=1)
-    strengths = net.strengths
-    return tuple(
-        VertexStats(firm=firm, degree=int(degrees[i]), strength=float(strengths[i]))
-        for i, firm in enumerate(net.firms)
-    )
 
 
 def network_to_dict(net: RiskNetwork) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -67,12 +66,6 @@ class ReturnPanel:
     @property
     def n_firms(self) -> int:
         return len(self.firms)
-
-    def firm_index(self, firm: str) -> int:
-        try:
-            return self.firms.index(firm)
-        except ValueError:
-            raise KeyError(f"unknown firm {firm!r}") from None
 
 
 def _parse_cell(text: str, row: int, firm: str) -> float:
@@ -192,10 +185,3 @@ def panel_from_rows(
         mask = np.asarray(mask, dtype=bool).copy()
         returns[~mask] = np.nan
     return ReturnPanel(tuple(dates), tuple(firms), returns, mask)
-
-
-def roundtrip_text(panel: ReturnPanel, *, delimiter: str = ",") -> str:
-    """Serialize to a string (handy for tests)."""
-    buffer = io.StringIO()
-    save_returns(panel, buffer, delimiter=delimiter)
-    return buffer.getvalue()

@@ -65,12 +65,12 @@ __all__ = [
     "parse_periods",
     "load_config_file",
     "run_study",
+    "build_networks",
     "analyze_panel",
     "window_report",
     "rank_firms",
     "weight_distribution_stats",
     "timeseries_rows",
-    "report_rows",
     "period_slug",
     "write_study",
     "read_reports",
@@ -333,31 +333,42 @@ def window_report(net: RiskNetwork) -> RobustnessReport:
     )
 
 
-def analyze_panel(panel: ReturnPanel, config: StudyConfig) -> StudyResult:
-    """Run the full study on an in-memory panel."""
-    slices = window_panel(panel, config.scheme)
+def build_networks(
+    panel: ReturnPanel, config: StudyConfig
+) -> tuple[tuple[RiskNetwork, ...], tuple[tuple[str, str], ...]]:
+    """Symmetric network of every non-degenerate window in date order, and
+    (label, reason) for every degenerate window left out."""
     networks: list[RiskNetwork] = []
-    reports: list[RobustnessReport] = []
     skipped: list[tuple[str, str]] = []
-    for window in slices:
+    for window in window_panel(panel, config.scheme):
         if window.degenerate:
             reason = f"degenerate window ({window.n_firms} eligible firms)"
             log.warning("skipping %s: %s", window.label, reason)
             skipped.append((window.label, reason))
             continue
-        net = symmetrize(build_directed(window, config.alpha))
-        networks.append(net)
+        networks.append(symmetrize(build_directed(window, config.alpha)))
+    return tuple(networks), tuple(skipped)
+
+
+def analyze_panel(panel: ReturnPanel, config: StudyConfig) -> StudyResult:
+    """Run the full study on an in-memory panel."""
+    networks, degenerate = build_networks(panel, config)
+    reports: list[RobustnessReport] = []
+    skipped = list(degenerate)
+    for net in networks:
         try:
             reports.append(window_report(net))
         except RiskNetError as exc:
-            log.warning("skipping %s: %s", window.label, exc)
-            skipped.append((window.label, str(exc)))
+            log.warning("skipping %s: %s", net.label, exc)
+            skipped.append((net.label, str(exc)))
+    # labels are YYYY-MM, so sorting restores window order
+    skipped.sort(key=lambda item: item[0])
     if not reports:
         details = "; ".join(f"{label}: {why}" for label, why in skipped[:5])
         raise WindowError(f"no analyzable window in the study range ({details})")
     rankings = rank_firms(reports, config.sub_periods)
     return StudyResult(
-        networks=tuple(networks),
+        networks=networks,
         reports=tuple(reports),
         rankings=tuple(rankings),
         skipped=tuple(skipped),
@@ -462,15 +473,11 @@ def rank_firms(
     return tuple(tables)
 
 
-def weight_distribution_stats(
-    networks: Sequence[RiskNetwork], grouping: str = "year"
-) -> tuple[WeightBand, ...]:
+def weight_distribution_stats(networks: Sequence[RiskNetwork]) -> tuple[WeightBand, ...]:
     """Mean and 5%/95% band of positive weights, grouped per year.
 
     Groups whose networks carry no positive weight are omitted (logged).
     """
-    if grouping != "year":
-        raise ConfigError(f"unknown grouping {grouping!r}, only 'year' is supported")
     buckets: dict[str, list[np.ndarray]] = {}
     for net in networks:
         year = net.label.split("-")[0]
@@ -520,17 +527,6 @@ def timeseries_rows(
                 _period_of(report.label, sub_periods),
             )
         )
-    return rows
-
-
-def report_rows(reports: Sequence[RobustnessReport]) -> list[tuple]:
-    """Flat per-vertex rows (window, firm, werc, clustering, strength)."""
-    rows = []
-    for report in sorted(reports, key=lambda r: r.window_id):
-        for firm, value, clustering, strength in zip(
-            report.analyzed_firms, report.werc, report.clustering, report.strength
-        ):
-            rows.append((report.window_id, firm, value, clustering, strength))
     return rows
 
 
@@ -726,19 +722,6 @@ def write_timeseries(
             timeseries_rows(reports, sub_periods),
         )
     return path
-
-
-def write_vertex_rows(reports: Sequence[RobustnessReport], target: str | Path | IO[str]) -> None:
-    """Flat CSV form of the reports for downstream tools."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_vertex_rows(reports, handle)
-        return
-    _write_csv(
-        target,
-        ("window", "firm", "werc", "clustering", "strength"),
-        report_rows(reports),
-    )
 
 
 def write_study(result: StudyResult, config: StudyConfig, out_dir: str | Path) -> None:

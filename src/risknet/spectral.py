@@ -93,6 +93,13 @@ class RobustnessReport:
     strength: tuple[float, ...]
     surviving_order: tuple[int | None, ...]
 
+    def __post_init__(self) -> None:
+        values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
+        if any(math.isnan(v) for v in values):
+            raise NumericalError(
+                f"window {self.label}: NaN in Kirchhoff index or removal impacts"
+            )
+
 
 def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
     """L = S - W with S the diagonal of vertex strengths."""
@@ -161,7 +168,9 @@ def effective_resistance_oracle(net: RiskNetwork) -> float:
     """Kirchhoff index by summing pairwise effective resistances.
 
     Uses the Moore-Penrose pseudo-inverse of the Laplacian: the resistance
-    between i and j is P[i, i] + P[j, j] - 2 P[i, j]. Independent of the
+    between i and j is P[i, i] + P[j, j] - 2 P[i, j]. For a connected
+    network P = inv(L + J / n) - J / n with J the all-ones matrix, which
+    needs no eigenvalue cutoff, so the oracle stays independent of the
     eigenvalue route; quadratic in the number of pairs, meant for
     cross-checks on small networks.
     """
@@ -169,8 +178,9 @@ def effective_resistance_oracle(net: RiskNetwork) -> float:
         raise DisconnectedNetworkError(
             f"window {net.label}: effective resistance is infinite across components"
         )
+    shift = np.full((net.n, net.n), 1.0 / net.n)
     try:
-        pinv = np.linalg.pinv(weighted_laplacian(net), hermitian=True)
+        pinv = np.linalg.inv(weighted_laplacian(net) + shift) - shift
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pseudo-inverse failed: {exc}") from None
     total = 0.0

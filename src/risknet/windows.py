@@ -20,7 +20,7 @@ import numpy as np
 from .errors import WindowError
 from .panel import ReturnPanel
 
-__all__ = ["WindowScheme", "WindowSlice", "window_panel", "pairwise_common_days"]
+__all__ = ["WindowScheme", "WindowSlice", "window_panel"]
 
 _SCHEME_KINDS = ("calendar_month",)
 
@@ -77,11 +77,6 @@ class WindowSlice:
     def n_firms(self) -> int:
         return len(self.firms)
 
-    def observed(self, col: int) -> np.ndarray:
-        """Return the observed series for an eligible firm, given its column
-        in this slice."""
-        return self.returns[self.mask[:, col], col]
-
 
 def window_panel(panel: ReturnPanel, scheme: WindowScheme) -> list[WindowSlice]:
     """Cut ``panel`` into calendar-month slices.
@@ -123,14 +118,3 @@ def window_panel(panel: ReturnPanel, scheme: WindowScheme) -> list[WindowSlice]:
             )
         )
     return slices
-
-
-def pairwise_common_days(window: WindowSlice, col_a: int, col_b: int) -> np.ndarray:
-    """Row indices (within the slice) where both firms observed a return.
-
-    The result can be shorter than ``min_obs``; callers that need a floor
-    decide what to do with short overlaps.
-    """
-    if col_a == col_b:
-        return np.flatnonzero(window.mask[:, col_a])
-    return np.flatnonzero(window.mask[:, col_a] & window.mask[:, col_b])

@@ -16,7 +16,6 @@ from risknet.measures import (
     estimate_mes,
     estimate_var,
     impact,
-    pair_impact,
     risk_profile,
 )
 
@@ -147,22 +146,6 @@ def test_weight_invariant_under_scaling_and_target_shift():
             base, abs=1e-12
         )
         assert weight(target + shift, source) == pytest.approx(base, abs=1e-9)
-
-
-def test_pair_impact_record_is_coherent():
-    rng = np.random.default_rng(41)
-    target = rng.normal(size=30)
-    source = rng.normal(size=30)
-    rec = pair_impact(
-        risk_profile("T", target, 0.1),
-        risk_profile("S", source, 0.1),
-        target,
-        source,
-        0.1,
-    )
-    assert rec.source == "S" and rec.target == "T"
-    assert rec.n_common == 30
-    assert rec.weight == pytest.approx(1.0 - rec.impact, abs=1e-15)
 
 
 def test_risk_profile_tail_days_are_the_quantile_days():

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import collections
 import datetime as dt
 import io
+import math
 
 import numpy as np
 import pytest
 
-from risknet.errors import NetworkFormatError, WindowError
+from risknet.errors import (
+    DegeneratePairError,
+    EstimationError,
+    NetworkFormatError,
+    WindowError,
+)
 from risknet.measures import edge_weight, estimate_mes, risk_profile
 from risknet.network import (
+    Diagnostic,
     DirectedWeights,
     RiskNetwork,
     build_directed,
@@ -19,12 +27,10 @@ from risknet.network import (
     network_to_dict,
     read_network,
     symmetrize,
-    vertex_stats,
     write_network,
 )
-from risknet.network import _build_directed_fast, _build_directed_general
 from risknet.panel import panel_from_rows
-from risknet.windows import WindowScheme, pairwise_common_days, window_panel
+from risknet.windows import WindowScheme, window_panel
 
 
 def month_slice(values, mask=None, min_obs=15):
@@ -37,36 +43,117 @@ def month_slice(values, mask=None, min_obs=15):
     return slices[0]
 
 
-def reference_directed(window, alpha):
-    """Independent per-pair recomputation straight from the estimators."""
+def per_pair_oracle(window, alpha):
+    """The per-pair estimator, one scalar call at a time.
+
+    Each firm's profile comes from its own observed days and each pair's
+    MES from the pair's common days. Returns the directed matrix, the set
+    of ``short_overlap`` and ``inestimable_firm`` diagnostics, and the
+    firms whose tail spread is not positive.
+    """
     n = window.n_firms
+    firms = window.firms
     out = np.zeros((n, n))
-    profiles = [
-        risk_profile(window.firms[j], window.observed(j), alpha) for j in range(n)
-    ]
-    floor = max(window.min_obs, int(np.ceil(1.0 / alpha)))
-    for target in range(n):
-        for source in range(n):
-            if target == source:
-                continue
-            common = pairwise_common_days(window, target, source)
-            if len(common) < floor:
-                continue
-            mes = estimate_mes(
-                window.returns[common, target], window.returns[common, source], alpha
+    diagnostics = set()
+    profiles = []
+    for col, firm in enumerate(firms):
+        try:
+            profiles.append(
+                risk_profile(firm, window.returns[window.mask[:, col], col], alpha)
             )
-            out[source, target] = edge_weight(profiles[target], profiles[source], mes)
-    return out
+        except EstimationError as exc:
+            profiles.append(None)
+            diagnostics.add(Diagnostic("inestimable_firm", None, firm, str(exc)))
+    degenerate = {
+        p.firm for p in profiles if p is not None and p.mean_return + p.es <= 0.0
+    }
+    floor = max(window.min_obs, math.ceil(1.0 / alpha))
+    for a in range(n):
+        for b in range(a + 1, n):
+            common = np.flatnonzero(window.mask[:, a] & window.mask[:, b])
+            if len(common) < floor:
+                diagnostics.add(
+                    Diagnostic(
+                        "short_overlap",
+                        firms[a],
+                        firms[b],
+                        f"{len(common)} common days, need {floor}",
+                    )
+                )
+                continue
+            for target, source in ((a, b), (b, a)):
+                if profiles[target] is None or profiles[source] is None:
+                    continue
+                mes = estimate_mes(
+                    window.returns[common, target], window.returns[common, source], alpha
+                )
+                try:
+                    out[source, target] = edge_weight(
+                        profiles[target], profiles[source], mes
+                    )
+                except DegeneratePairError:
+                    assert firms[target] in degenerate
+    return out, diagnostics, degenerate
 
 
-def test_fast_and_general_paths_agree_on_full_data():
-    rng = np.random.default_rng(101)
-    for _ in range(10):
-        values = rng.standard_t(df=4, size=(23, 6)) * 0.02
-        window = month_slice(values)
-        fast = _build_directed_fast(window, 0.05)
-        general = _build_directed_general(window, 0.05)
-        assert np.allclose(fast.matrix, general.matrix, rtol=0, atol=1e-12)
+def random_window(rng):
+    """A small random window mixing the cases the estimator must get right:
+    tail ties on a coarse grid, constant firms, scattered and blocked
+    missing days, and firms below ceil(1 / alpha) observed days."""
+    t = int(rng.integers(8, 32))
+    n = int(rng.integers(2, 9))
+    if rng.random() < 0.4:
+        # multiples of 1/64: many tail ties, and sums are exact in any order
+        values = rng.integers(-6, 7, size=(t, n)) / 64.0
+    else:
+        values = rng.standard_t(df=4, size=(t, n)) * 0.02
+    for col in np.flatnonzero(rng.random(n) < 0.15):
+        values[:, col] = values[0, col]
+    mask = rng.random((t, n)) >= rng.choice([0.0, 0.05, 0.2, 0.4])
+    for col in np.flatnonzero(rng.random(n) < 0.3):
+        start = int(rng.integers(0, t))
+        mask[start : start + int(rng.integers(1, t)), col] = False
+    return month_slice(values, mask, min_obs=int(rng.integers(3, 22)))
+
+
+def test_build_directed_matches_per_pair_oracle_on_random_windows():
+    rng = np.random.default_rng(2024)
+    seen = collections.Counter()
+    checked = 0
+    while checked < 360:
+        window = random_window(rng)
+        if window.degenerate:
+            continue
+        alpha = (0.05, 0.1, 0.25)[checked % 3]
+        built = build_directed(window, alpha)
+        want, diagnostics, degenerate = per_pair_oracle(window, alpha)
+        assert np.allclose(built.matrix, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(built.matrix == 0.0, want == 0.0)
+        kinds = collections.Counter(d.kind for d in built.diagnostics)
+        assert set(kinds) <= {"short_overlap", "inestimable_firm", "degenerate_firm"}
+        assert {
+            d for d in built.diagnostics if d.kind != "degenerate_firm"
+        } == diagnostics
+        assert sorted(
+            d.target for d in built.diagnostics if d.kind == "degenerate_firm"
+        ) == sorted(degenerate)
+        seen.update(kinds)
+        seen["ties"] += any(
+            len(np.unique(window.returns[window.mask[:, c], c]))
+            < window.mask[:, c].sum()
+            for c in range(window.n_firms)
+        )
+        seen["partly_observed"] += not window.mask.all()
+        checked += 1
+    # every case the gate is meant to cover actually came up
+    for case in (
+        "short_overlap",
+        "inestimable_firm",
+        "degenerate_firm",
+        "ties",
+        "partly_observed",
+    ):
+        assert seen[case] >= 20, seen
 
 
 def test_directed_matrix_matches_per_pair_reference():
@@ -74,7 +161,7 @@ def test_directed_matrix_matches_per_pair_reference():
     values = rng.standard_t(df=4, size=(22, 5)) * 0.02
     window = month_slice(values)
     built = build_directed(window, 0.05)
-    assert np.allclose(built.matrix, reference_directed(window, 0.05), atol=1e-12)
+    assert np.allclose(built.matrix, per_pair_oracle(window, 0.05)[0], atol=1e-12)
     assert np.all(np.diagonal(built.matrix) == 0.0)
     assert built.matrix.min() >= 0.0 and built.matrix.max() <= 1.0
 
@@ -87,7 +174,7 @@ def test_directed_with_missing_days_uses_common_day_conditioning():
     mask[10:14, 2] = False
     window = month_slice(values, mask, min_obs=20)
     built = build_directed(window, 0.05)
-    assert np.allclose(built.matrix, reference_directed(window, 0.05), atol=1e-12)
+    assert np.allclose(built.matrix, per_pair_oracle(window, 0.05)[0], atol=1e-12)
 
 
 def test_short_overlap_zeroes_pair_with_diagnostic():
@@ -174,9 +261,8 @@ def test_density_and_vertex_stats():
     w[2, 3] = w[3, 2] = 0.25
     net = RiskNetwork(1, "x", ("A", "B", "C", "D"), w)
     assert density(net) == 2 / 6
-    stats = vertex_stats(net)
-    assert [s.degree for s in stats] == [1, 1, 1, 1]
-    assert [s.strength for s in stats] == [0.5, 0.5, 0.25, 0.25]
+    assert list(net.adjacency.sum(axis=1)) == [1, 1, 1, 1]
+    assert list(net.strengths) == [0.5, 0.5, 0.25, 0.25]
     single = RiskNetwork(1, "x", ("A",), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="two vertices"):
         density(single)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from graphgen import from_weights
-from risknet.errors import ConfigError, NetworkFormatError, WindowError
+from risknet import pipeline
+from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
+from risknet.network import DirectedWeights, build_directed
+from risknet.panel import panel_from_rows
 from risknet.pipeline import (
     ALL_PERIODS,
     RankingRow,
@@ -24,17 +27,17 @@ from risknet.pipeline import (
     read_networks,
     read_reports,
     report_from_dict,
-    report_rows,
     report_to_dict,
     timeseries_rows,
     weight_distribution_stats,
     window_report,
+    write_rankings,
     write_study,
     write_timeseries,
-    write_vertex_rows,
 )
 from risknet.spectral import RobustnessReport
-from risknet.synthetic import generate_panel
+from risknet.synthetic import generate_panel, weekday_dates
+from risknet.windows import WindowScheme, window_panel
 
 
 def small_study(**kwargs):
@@ -159,6 +162,66 @@ def test_window_report_refuses_tiny_component():
     w[2, 3] = w[3, 2] = 0.4
     with pytest.raises(WindowError, match="need 3"):
         window_report(from_weights(w))
+
+
+def pendant_triangle():
+    """A triangle plus a pendant edge of weight 1e-12: connected, but too
+    ill-conditioned for the eigenvalue route, whose pendant removal impact
+    comes out NaN."""
+    w = np.zeros((4, 4))
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        w[i, j] = w[j, i] = 1.0
+    w[2, 3] = w[3, 2] = 1e-12
+    return w
+
+
+def test_nan_report_refused_and_window_skipped(monkeypatch, tmp_path):
+    with pytest.raises(NumericalError, match="window 2007-03: NaN"):
+        window_report(from_weights(pendant_triangle(), label="2007-03"))
+
+    real = pipeline.build_directed
+
+    def with_bad_march(window, alpha):
+        if window.label != "2007-03":
+            return real(window, alpha)
+        return DirectedWeights(
+            window.window_id, window.label, window.firms[:4], pendant_triangle()
+        )
+
+    monkeypatch.setattr(pipeline, "build_directed", with_bad_march)
+    result, config = small_study()
+    assert [label for label, _ in result.skipped] == ["2007-03"]
+    assert "NaN" in result.skipped[0][1]
+    assert "2007-03" not in [r.label for r in result.reports]
+    write_study(result, config, tmp_path)
+
+
+def test_short_month_gives_zero_network_and_is_skipped():
+    # a 20-day January and a 19-day February: at alpha 0.05 a firm needs
+    # ceil(1 / 0.05) = 20 observed days, so February cannot be estimated
+    dates = weekday_dates((2005, 1), (2005, 1))[:20]
+    dates += weekday_dates((2005, 2), (2005, 2))[:19]
+    firms = [f"F{j}" for j in range(6)]
+    rng = np.random.default_rng(5)
+    common = rng.standard_t(df=4, size=(len(dates), 1))
+    values = 0.02 * (common + rng.standard_t(df=4, size=(len(dates), len(firms))))
+    panel = panel_from_rows(dates, firms, values)
+    january, february = window_panel(panel, WindowScheme())
+    assert (january.n_days, february.n_days) == (20, 19)
+
+    built = build_directed(february, 0.05)
+    assert not built.matrix.any()
+    assert sorted(
+        d.target for d in built.diagnostics if d.kind == "inestimable_firm"
+    ) == firms
+
+    result = analyze_panel(panel, StudyConfig())
+    assert result.skipped == (
+        ("2005-02", "window 2005-02: analyzed component has 1 firms, need 3"),
+    )
+    (report,) = result.reports
+    assert report.label == "2005-01"
+    assert not any(math.isnan(v) for v in (report.kirchhoff, *report.werc))
 
 
 def test_analyze_panel_produces_one_report_per_healthy_window():
@@ -353,15 +416,17 @@ def test_timeseries_rows_and_export(tmp_path):
     assert empty.read_text().splitlines() == [lines[0]]
 
 
-def test_flat_vertex_rows_serialize_inf():
-    report = fake_report(1, "2001-01", ("A", "B"), (math.inf, 0.5), survivors=(1, None))
-    rows = report_rows([report])
-    assert rows == [(1, "A", math.inf, 0.5, 1.0), (1, "B", 0.5, 0.5, 1.0)]
-    buffer = io.StringIO()
-    write_vertex_rows([report], buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "window,firm,werc,clustering,strength"
-    assert lines[1].split(",")[2] == "inf"
+def test_rankings_csv_serializes_inf(tmp_path):
+    report = fake_report(
+        1, "2001-01", ("A", "B", "C"), (math.inf, 0.5, 0.25), survivors=(2, None, None)
+    )
+    (path,) = write_rankings(rank_firms([report], ()), tmp_path)
+    assert path.read_text().splitlines() == [
+        "firm,mean_werc,rank,quartile,coverage",
+        "A,inf,1,1,1",
+        "B,0.5,2,2,1",
+        "C,0.25,3,3,1",
+    ]
 
 
 # ------------------------------------------------------------- file tree
@@ -390,8 +455,6 @@ def test_locality_of_window_removal():
     full = analyze_panel(panel_full, config)
     # drop March from the input
     keep = [i for i, d in enumerate(panel_full.dates) if d.month != 3]
-    from risknet.panel import panel_from_rows
-
     panel_cut = panel_from_rows(
         [panel_full.dates[i] for i in keep],
         panel_full.firms,

@@ -10,6 +10,7 @@ import pytest
 
 from graphgen import from_weights, random_connected
 from risknet.errors import DisconnectedNetworkError
+from risknet.network import build_directed, symmetrize
 from risknet.spectral import (
     barrat_clustering,
     connected_components,
@@ -23,6 +24,8 @@ from risknet.spectral import (
     werc,
     werc_all,
 )
+from risknet.synthetic import generate_panel
+from risknet.windows import WindowScheme, window_panel
 
 
 def kirchhoff_of(net):
@@ -85,6 +88,19 @@ def test_kirchhoff_matches_pairwise_resistance_oracle():
         k_eig = kirchhoff_of(net)
         k_res = effective_resistance_oracle(net)
         assert abs(k_eig - k_res) <= 1e-9 * max(1.0, abs(k_res))
+
+
+def test_oracle_keeps_digits_when_zero_eigenvalue_sits_high():
+    # the eigensolver returns this network's structural zero eigenvalue
+    # well above 1e-15 of the largest; a cutoff-based pseudo-inverse kept
+    # it and lost the sum's digits (332.4468 against 332.4590)
+    panel = generate_panel(120, (2005, 1), (2005, 12), seed=303, n_fragile=60)
+    windows = {w.label: w for w in window_panel(panel, WindowScheme())}
+    net = symmetrize(build_directed(windows["2005-02"], 0.05))
+    reduced = remove_vertex(net, net.firms.index("F050"))
+    expected = kirchhoff_of(reduced)
+    assert expected == pytest.approx(332.45896816569, rel=1e-9)
+    assert effective_resistance_oracle(reduced) == pytest.approx(expected, rel=1e-9)
 
 
 def test_disconnected_network_reports_infinite_resistance():

@@ -9,7 +9,7 @@ import pytest
 
 from risknet.errors import WindowError
 from risknet.panel import panel_from_rows
-from risknet.windows import WindowScheme, pairwise_common_days, window_panel
+from risknet.windows import WindowScheme, window_panel
 
 
 def weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
@@ -119,20 +119,3 @@ def test_bad_scheme_rejected():
     with pytest.raises(WindowError, match="min_obs"):
         WindowScheme(min_obs=0)
 
-
-def test_pairwise_common_days_intersection():
-    panel = make_panel(
-        dt.date(2001, 3, 1),
-        dt.date(2001, 3, 31),
-        2,
-        missing=[(0, 0), (1, 0), (2, 1), (3, 1)],
-    )
-    s = window_panel(panel, WindowScheme(min_obs=15))[0]
-    common = pairwise_common_days(s, 0, 1)
-    assert list(common) == list(range(4, s.n_days))
-    both = s.mask[:, 0] & s.mask[:, 1]
-    assert np.array_equal(common, np.flatnonzero(both))
-    # self intersection is just the firm's own observed days
-    assert np.array_equal(
-        pairwise_common_days(s, 0, 0), np.flatnonzero(s.mask[:, 0])
-    )
