@@ -12,6 +12,11 @@ grows, so lower K means a better-connected, more robust network. Dividing
 by the number of pairs, K_N = K / C(n, 2), makes networks of different
 orders comparable.
 
+Connectivity is decided by the positive weights alone, however small; the
+eigenvalues only measure resistance. A network its positive weights
+connect gets a finite K, or a ``NumericalError`` when the solver cannot
+resolve its smallest positive eigenvalue.
+
 A vertex's robustness impact is the relative change of K_N when the vertex
 is removed: positive when the network relies on the vertex, negative when
 the vertex was a net burden, and +inf when its removal disconnects the
@@ -48,21 +53,19 @@ __all__ = [
     "barrat_clustering",
 ]
 
-ZERO_TOL = 1e-10
+NEGATIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
     """Eigenvalues of a weighted Laplacian, largest first.
 
-    ``zero_multiplicity`` counts eigenvalues whose magnitude falls below
-    ``threshold`` (the relative-absolute cutoff actually applied); it
-    equals the number of connected components.
+    ``zero_multiplicity`` is the number of components of the positive
+    weights, not a count of small eigenvalues.
     """
 
     eigenvalues: np.ndarray
     zero_multiplicity: int
-    threshold: float
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
@@ -107,14 +110,14 @@ def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
     return np.diag(w.sum(axis=1)) - w
 
 
-def spectrum(laplacian: np.ndarray, *, tol: float = ZERO_TOL) -> LaplacianSpectrum:
+def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     """Eigenvalues of a symmetric weighted Laplacian, sorted descending.
 
-    The zero cutoff is ``tol * max(1, largest eigenvalue)``: with weights
-    in [0, 1] the absolute and relative readings agree to within an order
-    of magnitude, and the structural zero sits many orders below any true
-    positive eigenvalue. Eigenvalues below the negated cutoff mean the
-    input was not a Laplacian (or the solver failed) and raise.
+    ``zero_multiplicity`` comes from the components of the off-diagonal
+    nonzero pattern, which for L = S - W is exactly the positive weights,
+    so no eigenvalue cutoff decides connectivity. Eigenvalues below
+    ``-NEGATIVE_TOL * max(1, largest eigenvalue)`` mean the input was not a
+    Laplacian (or the solver failed) and raise.
     """
     laplacian = np.asarray(laplacian, dtype=float)
     if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
@@ -125,6 +128,8 @@ def spectrum(laplacian: np.ndarray, *, tol: float = ZERO_TOL) -> LaplacianSpectr
     row_sums = laplacian.sum(axis=1)
     if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
         raise ValueError("Laplacian rows must sum to zero")
+    # the diagonal only adds self-loops, which change no component
+    zero_multiplicity = len(_components(laplacian != 0.0))
     try:
         values = np.linalg.eigvalsh(laplacian)
     except np.linalg.LinAlgError as exc:
@@ -133,28 +138,35 @@ def spectrum(laplacian: np.ndarray, *, tol: float = ZERO_TOL) -> LaplacianSpectr
             f"Laplacian (scale {scale:g}): {exc}"
         ) from None
     values = values[::-1].copy()
-    threshold = tol * max(1.0, float(values[0]) if values.size else 0.0)
+    threshold = NEGATIVE_TOL * max(1.0, float(values[0]) if values.size else 0.0)
     if values.size and float(values[-1]) < -threshold:
         raise NumericalError(
             f"negative eigenvalue {values[-1]} beyond tolerance {threshold:g}"
         )
-    zero_multiplicity = int(np.count_nonzero(np.abs(values) < threshold))
-    return LaplacianSpectrum(
-        eigenvalues=values, zero_multiplicity=zero_multiplicity, threshold=threshold
-    )
+    return LaplacianSpectrum(eigenvalues=values, zero_multiplicity=zero_multiplicity)
 
 
 def kirchhoff_index(spec: LaplacianSpectrum) -> float:
-    """Total effective resistance n * sum(1 / mu) over positive eigenvalues.
+    """Total effective resistance n * sum(1 / mu) over the n - 1 largest
+    eigenvalues of a connected network.
 
-    Returns ``inf`` when the zero eigenvalue is not simple: a disconnected
-    network has infinite resistance between separated pairs. Callers that
-    must not see ``inf`` should restrict to a component first.
+    Returns ``inf`` when the network is disconnected: separated pairs have
+    infinite resistance. Callers that must not see ``inf`` should restrict
+    to a component first. A connected network gets a finite value, or
+    ``NumericalError`` when the solver returns one of those eigenvalues as
+    zero or negative or the sum overflows.
     """
     if not spec.connected:
         return math.inf
-    positive = spec.eigenvalues[: spec.n - spec.zero_multiplicity]
-    return float(spec.n * np.sum(1.0 / positive)) if positive.size else 0.0
+    positive = spec.eigenvalues[: spec.n - 1]
+    with np.errstate(over="ignore", divide="ignore"):
+        total = float(spec.n * np.sum(1.0 / positive))
+    if positive.size and (positive[-1] <= 0.0 or not math.isfinite(total)):
+        raise NumericalError(
+            f"eigenvalue {positive[-1]:g} of a connected network of order "
+            f"{spec.n} is too small to resolve its resistance (K = {total:g})"
+        )
+    return total
 
 
 def normalized_kirchhoff(kirchhoff: float, n: int) -> float:
@@ -191,27 +203,27 @@ def effective_resistance_oracle(net: RiskNetwork) -> float:
 
 
 def connected_components(net: RiskNetwork) -> tuple[tuple[int, ...], ...]:
-    """Vertex index sets of the components, each sorted, ordered by their
-    smallest vertex."""
-    n = net.n
-    adjacency = net.adjacency
-    seen = np.zeros(n, dtype=bool)
-    components: list[tuple[int, ...]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = [start]
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(adjacency[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-                    members.append(int(u))
-        components.append(tuple(sorted(members)))
-    return tuple(components)
+    """Vertex index sets of the components of the positive weights, each
+    sorted, ordered by their smallest vertex."""
+    return tuple(tuple(members.tolist()) for members in _components(net.adjacency))
+
+
+def _components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """Components of a symmetric boolean adjacency matrix as sorted index
+    arrays, ordered by their smallest vertex; each grows one whole frontier
+    (the non-members adjacent to the last frontier) per step."""
+    unseen = np.ones(adjacency.shape[0], dtype=bool)
+    components: list[np.ndarray] = []
+    while unseen.any():
+        member = np.zeros_like(unseen)
+        member[int(unseen.argmax())] = True
+        frontier = member
+        while frontier.any():
+            frontier = adjacency[frontier].any(axis=0) & ~member
+            member |= frontier
+        unseen &= ~member
+        components.append(np.flatnonzero(member))
+    return components
 
 
 def largest_component(net: RiskNetwork) -> RiskNetwork:
@@ -246,45 +258,32 @@ def remove_vertex(net: RiskNetwork, vertex: int) -> RiskNetwork:
 
 def werc(net: RiskNetwork, vertex: int) -> float:
     """Relative change of the normalized Kirchhoff index when ``vertex``
-    is removed.
-
-    Requires a connected network with at least three vertices. Returns
-    ``inf`` when the removal disconnects the survivors.
-    """
-    if net.n < 3:
-        raise ValueError(f"need at least three vertices, got {net.n}")
+    is removed: entry ``vertex`` of :func:`werc_all`."""
     if not 0 <= vertex < net.n:
         raise ValueError(f"vertex {vertex} out of range for order {net.n}")
-    if len(connected_components(net)) != 1:
-        raise DisconnectedNetworkError(
-            f"window {net.label}: removal impact needs a connected network"
-        )
-    base = normalized_kirchhoff(
-        kirchhoff_index(spectrum(weighted_laplacian(net))), net.n
-    )
-    return _werc_from_base(net, vertex, base)
-
-
-def _werc_from_base(net: RiskNetwork, vertex: int, base: float) -> float:
-    reduced = remove_vertex(net, vertex)
-    k_reduced = kirchhoff_index(spectrum(weighted_laplacian(reduced)))
-    if math.isinf(k_reduced):
-        return math.inf
-    return (normalized_kirchhoff(k_reduced, reduced.n) - base) / base
+    return float(werc_all(net)[vertex])
 
 
 def werc_all(net: RiskNetwork) -> np.ndarray:
-    """Removal impact of every vertex, aligned with ``net.firms``."""
+    """Removal impact of every vertex, aligned with ``net.firms``.
+
+    Requires a connected network with at least three vertices. An entry is
+    ``inf`` exactly when removing that vertex disconnects the survivors.
+    """
     if net.n < 3:
         raise ValueError(f"need at least three vertices, got {net.n}")
-    if len(connected_components(net)) != 1:
+    spec = spectrum(weighted_laplacian(net))
+    if not spec.connected:
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
-    base = normalized_kirchhoff(
-        kirchhoff_index(spectrum(weighted_laplacian(net))), net.n
-    )
-    return np.array([_werc_from_base(net, i, base) for i in range(net.n)])
+    base = normalized_kirchhoff(kirchhoff_index(spec), net.n)
+    impacts = np.empty(net.n)
+    for i in range(net.n):
+        reduced = remove_vertex(net, i)
+        k_reduced = kirchhoff_index(spectrum(weighted_laplacian(reduced)))
+        impacts[i] = (normalized_kirchhoff(k_reduced, reduced.n) - base) / base
+    return impacts
 
 
 def barrat_clustering(net: RiskNetwork, vertex: int) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -164,35 +165,80 @@ def test_window_report_refuses_tiny_component():
         window_report(from_weights(w))
 
 
-def pendant_triangle():
-    """A triangle plus a pendant edge of weight 1e-12: connected, but too
-    ill-conditioned for the eigenvalue route, whose pendant removal impact
-    comes out NaN."""
+def pendant_triangle(eps=1e-12):
+    """A unit triangle on 0, 1, 2 plus a pendant edge 2-3 of weight eps:
+    connected however small eps is, with vertex 2 its one cut vertex."""
     w = np.zeros((4, 4))
     for i, j in ((0, 1), (1, 2), (0, 2)):
         w[i, j] = w[j, i] = 1.0
-    w[2, 3] = w[3, 2] = 1e-12
+    w[2, 3] = w[3, 2] = eps
     return w
 
 
-def test_nan_report_refused_and_window_skipped(monkeypatch, tmp_path):
-    with pytest.raises(NumericalError, match="window 2007-03: NaN"):
-        window_report(from_weights(pendant_triangle(), label="2007-03"))
-
+def study_with_march(monkeypatch, weights):
+    """The small study with window 2007-03 replaced by a four-firm network
+    of the given (symmetric) weights."""
     real = pipeline.build_directed
 
-    def with_bad_march(window, alpha):
+    def with_march(window, alpha):
         if window.label != "2007-03":
             return real(window, alpha)
-        return DirectedWeights(
-            window.window_id, window.label, window.firms[:4], pendant_triangle()
-        )
+        return DirectedWeights(window.window_id, window.label, window.firms[:4], weights)
 
-    monkeypatch.setattr(pipeline, "build_directed", with_bad_march)
+    monkeypatch.setattr(pipeline, "build_directed", with_march)
+    return small_study()
+
+
+def test_ill_conditioned_pendant_gets_finite_report(monkeypatch):
+    # lambda_2 (about 1.3e-12) lies far below 1e-10 * lambda_max, yet the
+    # positive weights connect the network, so every value is defined
+    eps = 1e-12
+    report = window_report(from_weights(pendant_triangle(eps), label="2007-03"))
+    assert report.component_note is None
+    assert report.kirchhoff == pytest.approx(3.0 / eps + 10.0 / 3.0, rel=1e-3)
+    assert math.isinf(report.werc[2])
+    assert all(math.isfinite(report.werc[i]) for i in (0, 1, 3))
+    assert report.surviving_order == (None, None, 2, None)
+
+    result, _ = study_with_march(monkeypatch, pendant_triangle(eps))
+    assert result.skipped == ()
+    (march,) = [r for r in result.reports if r.label == "2007-03"]
+    assert march.analyzed_firms == march.firms[:4]
+
+
+def test_report_with_nan_werc_is_refused():
+    report = window_report(from_weights(pendant_triangle(0.5), label="2007-03"))
+    with pytest.raises(NumericalError, match="window 2007-03: NaN"):
+        dataclasses.replace(report, werc=(math.nan, *report.werc[1:]))
+
+
+def test_nan_report_refused_and_window_skipped(monkeypatch, tmp_path):
+    real = pipeline.werc_all
+
+    def nan_in_march(net):
+        impacts = real(net)
+        if net.label == "2007-03":
+            impacts[0] = math.nan
+        return impacts
+
+    monkeypatch.setattr(pipeline, "werc_all", nan_in_march)
     result, config = small_study()
     assert [label for label, _ in result.skipped] == ["2007-03"]
-    assert "NaN" in result.skipped[0][1]
+    assert "window 2007-03: NaN" in result.skipped[0][1]
     assert "2007-03" not in [r.label for r in result.reports]
+    write_study(result, config, tmp_path)
+
+
+def test_unresolvable_pendant_raises_and_window_skipped(monkeypatch, tmp_path):
+    # the smallest subnormal: the solver returns it as lambda_2, and
+    # 1 / lambda_2 overflows
+    tiny = 5e-324
+    with pytest.raises(NumericalError, match="too small to resolve"):
+        window_report(from_weights(pendant_triangle(tiny), label="2007-03"))
+
+    result, config = study_with_march(monkeypatch, pendant_triangle(tiny))
+    assert [label for label, _ in result.skipped] == ["2007-03"]
+    assert "too small to resolve" in result.skipped[0][1]
     write_study(result, config, tmp_path)
 
 
