@@ -14,8 +14,8 @@ orders comparable.
 
 Connectivity is decided by the positive weights alone, however small; the
 eigenvalues only measure resistance. A network its positive weights
-connect gets a finite K, or a ``NumericalError`` when the solver cannot
-resolve its smallest positive eigenvalue.
+connect gets a finite K, or a ``NumericalError`` when its smallest positive
+eigenvalue is not above the solver's absolute error.
 
 A vertex's robustness impact is the relative change of K_N when the vertex
 is removed: positive when the network relies on the vertex, negative when
@@ -128,8 +128,8 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     row_sums = laplacian.sum(axis=1)
     if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
         raise ValueError("Laplacian rows must sum to zero")
-    # the diagonal only adds self-loops, which change no component
-    zero_multiplicity = len(_components(laplacian != 0.0))
+    # self-loops change no component; both triangles keep components disjoint
+    zero_multiplicity = len(_components((laplacian != 0) | (laplacian.T != 0)))
     try:
         values = np.linalg.eigvalsh(laplacian)
     except np.linalg.LinAlgError as exc:
@@ -153,15 +153,16 @@ def kirchhoff_index(spec: LaplacianSpectrum) -> float:
     Returns ``inf`` when the network is disconnected: separated pairs have
     infinite resistance. Callers that must not see ``inf`` should restrict
     to a component first. A connected network gets a finite value, or
-    ``NumericalError`` when the solver returns one of those eigenvalues as
-    zero or negative or the sum overflows.
+    ``NumericalError`` when the sum overflows or the smallest eigenvalue is
+    noise: not above the solver's error, n * eps * (largest eigenvalue).
     """
     if not spec.connected:
         return math.inf
     positive = spec.eigenvalues[: spec.n - 1]
+    resolution = spec.n * np.finfo(float).eps * float(spec.eigenvalues[0])
     with np.errstate(over="ignore", divide="ignore"):
         total = float(spec.n * np.sum(1.0 / positive))
-    if positive.size and (positive[-1] <= 0.0 or not math.isfinite(total)):
+    if positive.size and (positive[-1] <= resolution or not math.isfinite(total)):
         raise NumericalError(
             f"eigenvalue {positive[-1]:g} of a connected network of order "
             f"{spec.n} is too small to resolve its resistance (K = {total:g})"

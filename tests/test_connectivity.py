@@ -18,6 +18,7 @@ from graphgen import from_weights
 from risknet.errors import NumericalError
 from risknet.pipeline import window_report
 from risknet.spectral import (
+    LaplacianSpectrum,
     connected_components,
     kirchhoff_index,
     spectrum,
@@ -109,13 +110,35 @@ def dense_with_pendant(seed: int, n: int = 30, eps: float = 1e-20) -> np.ndarray
     return w + w.T
 
 
-def test_unresolved_second_eigenvalue_raises():
+@pytest.mark.parametrize(
+    "eigenvalues",
+    [
+        [3.0, 1.0, 0.0, 0.0],
+        [3.0, 1.0, -1e-17, -2e-17],
+        [16.0, 5.0, 1e-15, 0.0],  # positive, but below 4 * eps * 16
+    ],
+)
+def test_unresolved_second_eigenvalue_raises(eigenvalues):
+    spec = LaplacianSpectrum(eigenvalues=np.array(eigenvalues), zero_multiplicity=1)
+    with pytest.raises(NumericalError, match="too small to resolve"):
+        kirchhoff_index(spec)
+
+
+def test_resolved_small_second_eigenvalue_is_kept():
+    spec = LaplacianSpectrum(
+        eigenvalues=np.array([3.0, 1.0, 1e-12, 0.0]), zero_multiplicity=1
+    )
+    assert kirchhoff_index(spec) == pytest.approx(4.0 * (1.0 / 3.0 + 1.0 + 1e12))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 13])
+def test_pendant_below_solver_error_raises(seed):
     # lambda_2 is about 1e-20, far below the solver's error near the top of
-    # the spectrum (about 1e-14), and for this seed it comes back <= 0
-    net = from_weights(dense_with_pendant(13), label="2005-07")
+    # the spectrum (about 1e-14): whatever noise comes back in its place,
+    # positive or not, must not become a finite K
+    net = from_weights(dense_with_pendant(seed), label="2005-07")
     spec = spectrum(weighted_laplacian(net))
     assert spec.connected
-    assert spec.eigenvalues[-2] <= 0.0
     with pytest.raises(NumericalError, match="too small to resolve"):
         kirchhoff_index(spec)
     with pytest.raises(NumericalError):
@@ -123,3 +146,10 @@ def test_unresolved_second_eigenvalue_raises():
     with pytest.raises(NumericalError):
         window_report(net)
 
+
+def test_near_symmetric_pattern_gives_disjoint_components():
+    # symmetric within the input check's tolerance, but only one triangle
+    # holds the edge: it still joins the two vertices, once
+    laplacian = np.array([[0.0, 0.0], [-1e-17, 1e-17]])
+    assert spectrum(laplacian).zero_multiplicity == 1
+    assert spectrum(np.zeros((2, 2))).zero_multiplicity == 2
