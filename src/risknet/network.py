@@ -304,12 +304,19 @@ def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
     target.write("\n")
 
 
-def read_network(source: str | Path | IO[str]) -> RiskNetwork:
+def read_json(source: str | Path | IO[str]) -> dict:
+    """Payload of a saved network or report, from a UTF-8 file or a stream."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_network(handle)
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                return read_json(handle)
+        except UnicodeDecodeError as exc:
+            raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
     try:
-        payload = json.load(source)
+        return json.load(source)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"invalid JSON: {exc}") from None
-    return network_from_dict(payload)
+
+
+def read_network(source: str | Path | IO[str]) -> RiskNetwork:
+    return network_from_dict(read_json(source))

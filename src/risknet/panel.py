@@ -95,8 +95,11 @@ def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> Retur
     column involved.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_returns(handle, delimiter=delimiter)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                return load_returns(handle, delimiter=delimiter)
+        except UnicodeDecodeError as exc:
+            raise PanelFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
     reader = csv.reader(source, delimiter=delimiter)
     try:

@@ -34,6 +34,7 @@ from .network import (
     RiskNetwork,
     build_directed,
     density,
+    read_json,
     read_network,
     symmetrize,
     write_network,
@@ -42,13 +43,8 @@ from .panel import ReturnPanel, load_returns
 from .spectral import (
     RobustnessReport,
     barrat_clustering,
-    connected_components,
-    kirchhoff_index,
     largest_component,
     normalized_kirchhoff,
-    remove_vertex,
-    spectrum,
-    weighted_laplacian,
     werc_all,
 )
 from .windows import WindowScheme, window_panel
@@ -197,7 +193,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     level; alpha is its complement), delimiter, periods.
     """
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -297,26 +296,18 @@ def window_report(net: RiskNetwork) -> RobustnessReport:
 
     A disconnected network is restricted to its largest component first
     (noted in the report); a window whose analyzed component has fewer
-    than three firms cannot support removal impacts and raises.
+    than three firms cannot support removal impacts and raises. Kirchhoff
+    index, impacts and surviving orders come from one ``werc_all`` pass.
     """
-    work = net
+    work = largest_component(net)
     note = None
-    if len(connected_components(net)) > 1:
-        work = largest_component(net)
+    if work.n < net.n:
         note = f"restricted to largest component: {work.n} of {net.n} firms"
     if work.n < 3:
         raise WindowError(
             f"window {net.label}: analyzed component has {work.n} firms, need 3"
         )
-    total_resistance = kirchhoff_index(spectrum(weighted_laplacian(work)))
-    impacts = werc_all(work)
-    surviving: list[int | None] = []
-    for i, value in enumerate(impacts):
-        if math.isinf(value):
-            pieces = connected_components(remove_vertex(work, i))
-            surviving.append(max(len(p) for p in pieces))
-        else:
-            surviving.append(None)
+    removal = werc_all(work)
     return RobustnessReport(
         window_id=net.window_id,
         label=net.label,
@@ -324,12 +315,12 @@ def window_report(net: RiskNetwork) -> RobustnessReport:
         analyzed_firms=work.firms,
         component_note=note,
         density=density(work),
-        kirchhoff=total_resistance,
-        normalized_kirchhoff=normalized_kirchhoff(total_resistance, work.n),
-        werc=tuple(float(v) for v in impacts),
+        kirchhoff=removal.kirchhoff,
+        normalized_kirchhoff=normalized_kirchhoff(removal.kirchhoff, work.n),
+        werc=tuple(float(v) for v in removal.impacts),
         clustering=tuple(barrat_clustering(work, i) for i in range(work.n)),
         strength=tuple(float(s) for s in work.strengths),
-        surviving_order=tuple(surviving),
+        surviving_order=removal.surviving_order,
     )
 
 
@@ -620,17 +611,6 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
     target.write("\n")
 
 
-def read_report(source: str | Path | IO[str]) -> RobustnessReport:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return read_report(handle)
-    try:
-        payload = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"invalid JSON: {exc}") from None
-    return report_from_dict(payload)
-
-
 def _window_files(directory: Path) -> list[Path]:
     found = []
     for path in directory.glob("window_*.json"):
@@ -644,7 +624,7 @@ def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
     directory = Path(out_dir) / "reports"
     if not directory.is_dir():
         raise NetworkFormatError(f"no reports directory under {out_dir}")
-    reports = tuple(read_report(path) for path in _window_files(directory))
+    reports = tuple(report_from_dict(read_json(p)) for p in _window_files(directory))
     if not reports:
         raise NetworkFormatError(f"no report files in {directory}")
     return reports

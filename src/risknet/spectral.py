@@ -20,7 +20,8 @@ eigenvalue is not above the solver's absolute error.
 A vertex's robustness impact is the relative change of K_N when the vertex
 is removed: positive when the network relies on the vertex, negative when
 the vertex was a net burden, and +inf when its removal disconnects the
-survivors (infinite resistance between separated pairs).
+survivors (infinite resistance between separated pairs). ``werc_all``
+returns K, every impact and the surviving component orders from one pass.
 
 ``effective_resistance_oracle`` recomputes K from the Laplacian
 pseudo-inverse by literally summing pairwise resistances; it shares no code
@@ -40,6 +41,7 @@ from .network import RiskNetwork
 __all__ = [
     "LaplacianSpectrum",
     "RobustnessReport",
+    "RemovalImpacts",
     "weighted_laplacian",
     "spectrum",
     "kirchhoff_index",
@@ -47,7 +49,6 @@ __all__ = [
     "effective_resistance_oracle",
     "connected_components",
     "largest_component",
-    "remove_vertex",
     "werc",
     "werc_all",
     "barrat_clustering",
@@ -58,14 +59,13 @@ NEGATIVE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LaplacianSpectrum:
-    """Eigenvalues of a weighted Laplacian, largest first.
-
-    ``zero_multiplicity`` is the number of components of the positive
-    weights, not a count of small eigenvalues.
+    """Eigenvalues of a weighted Laplacian, largest first, and the sizes of
+    the components of its positive weights, ordered by smallest vertex;
+    ``zero_multiplicity`` counts those components, not small eigenvalues.
     """
 
     eigenvalues: np.ndarray
-    zero_multiplicity: int
+    component_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         self.eigenvalues.setflags(write=False)
@@ -73,6 +73,10 @@ class LaplacianSpectrum:
     @property
     def n(self) -> int:
         return int(self.eigenvalues.size)
+
+    @property
+    def zero_multiplicity(self) -> int:
+        return len(self.component_sizes)
 
     @property
     def connected(self) -> bool:
@@ -113,9 +117,9 @@ def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
 def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     """Eigenvalues of a symmetric weighted Laplacian, sorted descending.
 
-    ``zero_multiplicity`` comes from the components of the off-diagonal
-    nonzero pattern, which for L = S - W is exactly the positive weights,
-    so no eigenvalue cutoff decides connectivity. Eigenvalues below
+    The component sizes come from the off-diagonal nonzero pattern, which
+    for L = S - W is exactly the positive weights, so no eigenvalue cutoff
+    decides connectivity. Eigenvalues below
     ``-NEGATIVE_TOL * max(1, largest eigenvalue)`` mean the input was not a
     Laplacian (or the solver failed) and raise.
     """
@@ -129,7 +133,7 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
         raise ValueError("Laplacian rows must sum to zero")
     # self-loops change no component; both triangles keep components disjoint
-    zero_multiplicity = len(_components((laplacian != 0) | (laplacian.T != 0)))
+    sizes = tuple(c.size for c in _components((laplacian != 0) | (laplacian.T != 0)))
     try:
         values = np.linalg.eigvalsh(laplacian)
     except np.linalg.LinAlgError as exc:
@@ -143,7 +147,7 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
         raise NumericalError(
             f"negative eigenvalue {values[-1]} beyond tolerance {threshold:g}"
         )
-    return LaplacianSpectrum(eigenvalues=values, zero_multiplicity=zero_multiplicity)
+    return LaplacianSpectrum(eigenvalues=values, component_sizes=sizes)
 
 
 def kirchhoff_index(spec: LaplacianSpectrum) -> float:
@@ -229,32 +233,20 @@ def _components(adjacency: np.ndarray) -> list[np.ndarray]:
 
 def largest_component(net: RiskNetwork) -> RiskNetwork:
     """Restriction of the network to its largest component (ties broken by
-    the lexicographically smallest firm set), vertex order preserved."""
+    the lexicographically smallest firm set), vertex order preserved; a
+    network with at most one component is returned as it is."""
     components = connected_components(net)
-    top = max(len(comp) for comp in components)
+    if len(components) <= 1:
+        return net
     best = min(
-        (comp for comp in components if len(comp) == top),
-        key=lambda comp: tuple(sorted(net.firms[i] for i in comp)),
+        components, key=lambda comp: (-len(comp), sorted(net.firms[i] for i in comp))
     )
-    return _induced(net, best)
-
-
-def _induced(net: RiskNetwork, vertices: tuple[int, ...]) -> RiskNetwork:
-    idx = np.array(sorted(vertices), dtype=int)
     return RiskNetwork(
         window_id=net.window_id,
         label=net.label,
-        firms=tuple(net.firms[i] for i in idx),
-        weights=net.weights[np.ix_(idx, idx)].copy(),
+        firms=tuple(net.firms[i] for i in best),
+        weights=net.weights[np.ix_(best, best)],
     )
-
-
-def remove_vertex(net: RiskNetwork, vertex: int) -> RiskNetwork:
-    """Network with one vertex (and its edges) removed."""
-    if not 0 <= vertex < net.n:
-        raise ValueError(f"vertex {vertex} out of range for order {net.n}")
-    keep = tuple(i for i in range(net.n) if i != vertex)
-    return _induced(net, keep)
 
 
 def werc(net: RiskNetwork, vertex: int) -> float:
@@ -262,14 +254,26 @@ def werc(net: RiskNetwork, vertex: int) -> float:
     is removed: entry ``vertex`` of :func:`werc_all`."""
     if not 0 <= vertex < net.n:
         raise ValueError(f"vertex {vertex} out of range for order {net.n}")
-    return float(werc_all(net)[vertex])
+    return float(werc_all(net).impacts[vertex])
 
 
-def werc_all(net: RiskNetwork) -> np.ndarray:
-    """Removal impact of every vertex, aligned with ``net.firms``.
+@dataclass(frozen=True)
+class RemovalImpacts:
+    """A network's Kirchhoff index, the removal impact of every vertex
+    aligned with its firms, and where a removal disconnects the survivors
+    the order of their largest component (``None`` elsewhere)."""
 
-    Requires a connected network with at least three vertices. An entry is
-    ``inf`` exactly when removing that vertex disconnects the survivors.
+    kirchhoff: float
+    impacts: np.ndarray
+    surviving_order: tuple[int | None, ...]
+
+
+def werc_all(net: RiskNetwork) -> RemovalImpacts:
+    """One removal pass: the base spectrum, then one spectrum per removal
+    of the Laplacian of the survivors' weights, sliced by index.
+
+    Requires a connected network with at least three vertices. An impact
+    is ``inf`` exactly when removing that vertex disconnects the survivors.
     """
     if net.n < 3:
         raise ValueError(f"need at least three vertices, got {net.n}")
@@ -278,13 +282,18 @@ def werc_all(net: RiskNetwork) -> np.ndarray:
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
-    base = normalized_kirchhoff(kirchhoff_index(spec), net.n)
+    kirchhoff = kirchhoff_index(spec)
+    base = normalized_kirchhoff(kirchhoff, net.n)
     impacts = np.empty(net.n)
+    surviving: list[int | None] = []
     for i in range(net.n):
-        reduced = remove_vertex(net, i)
-        k_reduced = kirchhoff_index(spectrum(weighted_laplacian(reduced)))
+        keep = np.delete(np.arange(net.n), i)
+        w = net.weights[np.ix_(keep, keep)]
+        reduced = spectrum(np.diag(w.sum(axis=1)) - w)
+        k_reduced = kirchhoff_index(reduced)
         impacts[i] = (normalized_kirchhoff(k_reduced, reduced.n) - base) / base
-    return impacts
+        surviving.append(None if reduced.connected else max(reduced.component_sizes))
+    return RemovalImpacts(kirchhoff, impacts, tuple(surviving))
 
 
 def barrat_clustering(net: RiskNetwork, vertex: int) -> float:

@@ -123,6 +123,54 @@ def test_config_file_drives_alpha(panel_csv, tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+def corrupt(path):
+    """Append byte 0xff, which never occurs in UTF-8 text."""
+    path.write_bytes(path.read_bytes() + b"\xff")
+
+
+def single_error(capsys, argv):
+    """Run a command that must fail; its one line of stderr, parsed."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    return json.loads(line)
+
+
+def test_non_utf8_panel_gives_error_json(panel_csv, tmp_path, capsys):
+    corrupt(panel_csv)
+    payload = single_error(
+        capsys, ["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "o")]
+    )
+    assert payload["error"] == "PanelFormatError"
+    assert str(panel_csv) in payload["message"]
+
+
+def test_non_utf8_config_gives_error_json(panel_csv, tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("confidence = 0.90\n")
+    corrupt(cfg)
+    payload = single_error(
+        capsys,
+        ["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "o"),
+         "--config", str(cfg)],
+    )
+    assert payload["error"] == "ConfigError"
+    assert str(cfg) in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, saved", [("rank", "reports"), ("export-charts", "networks")]
+)
+def test_non_utf8_saved_file_gives_error_json(panel_csv, tmp_path, capsys, command, saved):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / saved).glob("window_*.json"))[-1]
+    corrupt(target)
+    payload = single_error(capsys, [command, "--out", str(out)])
+    assert payload["error"] == "NetworkFormatError"
+    assert str(target) in payload["message"]
+
+
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["rank", "--out", str(tmp_path)])
     assert code == 1

@@ -1,10 +1,10 @@
 """One definition of "connected": the components of the positive weights.
 
-The vectorized component routine, the spectrum's zero multiplicity and the
-removal impacts are checked against a plain breadth-first search on random
-graphs whose weights span twelve orders of magnitude, and the eigenvalue
-route is shown to raise, not to return ``inf`` or NaN, when it cannot
-resolve a connected network.
+The vectorized component routine, the spectrum's zero multiplicity, the
+removal impacts and the surviving component orders are checked against a
+plain breadth-first search on random graphs whose weights span twelve
+orders of magnitude, and the eigenvalue route is shown to raise, not to
+return ``inf`` or NaN, when it cannot resolve a connected network.
 """
 
 from __future__ import annotations
@@ -49,14 +49,16 @@ def bfs_components(weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def cut_vertices(weights: np.ndarray) -> set[int]:
-    """Vertices whose removal leaves more than one component."""
+def cut_vertices(weights: np.ndarray) -> dict[int, int]:
+    """Each vertex whose removal leaves more than one component, with the
+    order of the largest component left."""
     n = weights.shape[0]
-    cuts = set()
+    cuts = {}
     for v in range(n):
         keep = [i for i in range(n) if i != v]
-        if len(bfs_components(weights[np.ix_(keep, keep)])) > 1:
-            cuts.add(v)
+        pieces = bfs_components(weights[np.ix_(keep, keep)])
+        if len(pieces) > 1:
+            cuts[v] = max(len(p) for p in pieces)
     return cuts
 
 
@@ -86,9 +88,11 @@ def test_components_spectrum_and_cut_vertices_match_search(w):
     assert connected_components(net) == expected
     assert spectrum(weighted_laplacian(net)).zero_multiplicity == len(expected)
     if len(expected) == 1:
-        impacts = werc_all(net)
-        assert not np.isnan(impacts).any()
-        assert set(np.flatnonzero(np.isinf(impacts)).tolist()) == cut_vertices(w)
+        removal = werc_all(net)
+        assert not np.isnan(removal.impacts).any()
+        cuts = cut_vertices(w)
+        assert set(np.flatnonzero(np.isinf(removal.impacts)).tolist()) == set(cuts)
+        assert removal.surviving_order == tuple(cuts.get(v) for v in range(net.n))
 
 
 def test_components_of_empty_and_isolated_vertices():
@@ -119,7 +123,7 @@ def dense_with_pendant(seed: int, n: int = 30, eps: float = 1e-20) -> np.ndarray
     ],
 )
 def test_unresolved_second_eigenvalue_raises(eigenvalues):
-    spec = LaplacianSpectrum(eigenvalues=np.array(eigenvalues), zero_multiplicity=1)
+    spec = LaplacianSpectrum(eigenvalues=np.array(eigenvalues), component_sizes=(4,))
     with pytest.raises(NumericalError, match="too small to resolve"):
         kirchhoff_index(spec)
 

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from graphgen import from_weights
-from risknet import pipeline
+from graphgen import from_weights, random_connected
+from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
 from risknet.network import DirectedWeights, build_directed
 from risknet.panel import panel_from_rows
@@ -165,6 +165,21 @@ def test_window_report_refuses_tiny_component():
         window_report(from_weights(w))
 
 
+def test_window_report_solves_one_spectrum_per_removal_and_one_base(monkeypatch):
+    orders = []
+    real = spectral.spectrum
+
+    def counting(laplacian):
+        orders.append(laplacian.shape[0])
+        return real(laplacian)
+
+    monkeypatch.setattr(spectral, "spectrum", counting)
+    # and the pipeline's own binding, should it import one
+    monkeypatch.setattr(pipeline, "spectrum", counting, raising=False)
+    window_report(random_connected(np.random.default_rng(5), 7))
+    assert sorted(orders) == [6] * 7 + [7]
+
+
 def pendant_triangle(eps=1e-12):
     """A unit triangle on 0, 1, 2 plus a pendant edge 2-3 of weight eps:
     connected however small eps is, with vertex 2 its one cut vertex."""
@@ -216,10 +231,12 @@ def test_nan_report_refused_and_window_skipped(monkeypatch, tmp_path):
     real = pipeline.werc_all
 
     def nan_in_march(net):
-        impacts = real(net)
-        if net.label == "2007-03":
-            impacts[0] = math.nan
-        return impacts
+        removal = real(net)
+        if net.label != "2007-03":
+            return removal
+        impacts = removal.impacts.copy()
+        impacts[0] = math.nan
+        return dataclasses.replace(removal, impacts=impacts)
 
     monkeypatch.setattr(pipeline, "werc_all", nan_in_march)
     result, config = small_study()
