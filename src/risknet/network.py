@@ -309,9 +309,11 @@ def read_json(source: str | Path | IO[str]) -> dict:
     if isinstance(source, (str, Path)):
         try:
             with open(source, "r", encoding="utf-8") as handle:
-                return read_json(handle)
+                return json.load(handle)
         except UnicodeDecodeError as exc:
             raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
+        except json.JSONDecodeError as exc:
+            raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
     try:
         return json.load(source)
     except json.JSONDecodeError as exc:

@@ -12,10 +12,17 @@ grows, so lower K means a better-connected, more robust network. Dividing
 by the number of pairs, K_N = K / C(n, 2), makes networks of different
 orders comparable.
 
+The same K needs no spectrum: with M the inverse of L grounded at any one
+vertex (its row and column deleted), K = n * tr(M) - 1'M1 (Klein and
+Randic, "Resistance distance", 1993). ``werc_all`` takes that route for a
+network and all its removals; ``spectrum`` with ``kirchhoff_index`` and
+``effective_resistance_oracle`` are independent routes that check it.
+
 Connectivity is decided by the positive weights alone, however small; the
-eigenvalues only measure resistance. A network its positive weights
-connect gets a finite K, or a ``NumericalError`` when its smallest positive
-eigenvalue is not above the solver's absolute error.
+solvers only measure resistance. A network its positive weights connect
+gets a finite K, or a ``NumericalError`` when the smallest eigenvalue it
+depends on (the smallest positive one of L, or the smallest of the
+grounded matrix) cannot be told from the solver's rounding error.
 
 A vertex's robustness impact is the relative change of K_N when the vertex
 is removed: positive when the network relies on the vertex, negative when
@@ -24,8 +31,8 @@ survivors (infinite resistance between separated pairs). ``werc_all``
 returns K, every impact and the surviving component orders from one pass.
 
 ``effective_resistance_oracle`` recomputes K from the Laplacian
-pseudo-inverse by literally summing pairwise resistances; it shares no code
-with the eigenvalue route and exists to cross-check it.
+pseudo-inverse by literally summing pairwise resistances; it shares no
+solver with the other two routes and exists to cross-check them.
 """
 
 from __future__ import annotations
@@ -124,14 +131,7 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     Laplacian (or the solver failed) and raise.
     """
     laplacian = np.asarray(laplacian, dtype=float)
-    if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {laplacian.shape}")
-    scale = max(1.0, float(np.abs(laplacian).max())) if laplacian.size else 1.0
-    if not np.allclose(laplacian, laplacian.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("Laplacian must be symmetric")
-    row_sums = laplacian.sum(axis=1)
-    if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
-        raise ValueError("Laplacian rows must sum to zero")
+    scale = _check_laplacian(laplacian)
     # self-loops change no component; both triangles keep components disjoint
     sizes = tuple(c.size for c in _components((laplacian != 0) | (laplacian.T != 0)))
     try:
@@ -148,6 +148,21 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
             f"negative eigenvalue {values[-1]} beyond tolerance {threshold:g}"
         )
     return LaplacianSpectrum(eigenvalues=values, component_sizes=sizes)
+
+
+def _check_laplacian(laplacian: np.ndarray) -> float:
+    """Raise unless the matrix is square, symmetric and has zero row sums,
+    each within a tolerance relative to its largest entry; return that
+    scale (at least 1)."""
+    if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {laplacian.shape}")
+    scale = max(1.0, float(np.abs(laplacian).max())) if laplacian.size else 1.0
+    if not np.allclose(laplacian, laplacian.T, rtol=0.0, atol=1e-12 * scale):
+        raise ValueError("Laplacian must be symmetric")
+    row_sums = laplacian.sum(axis=1)
+    if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
+        raise ValueError("Laplacian rows must sum to zero")
+    return scale
 
 
 def kirchhoff_index(spec: LaplacianSpectrum) -> float:
@@ -269,31 +284,156 @@ class RemovalImpacts:
 
 
 def werc_all(net: RiskNetwork) -> RemovalImpacts:
-    """One removal pass: the base spectrum, then one spectrum per removal
-    of the Laplacian of the survivors' weights, sliced by index.
+    """One removal pass by grounded inverses, with no eigendecomposition.
 
-    Requires a connected network with at least three vertices. An impact
-    is ``inf`` exactly when removing that vertex disconnects the survivors.
+    For a connected Laplacian of order m grounded at one vertex (that row
+    and column deleted), with M the inverse of the grounded matrix,
+
+        K = m * tr(M) - 1'M1.
+
+    The network is grounded at its strongest vertex (lowest index on
+    ties). Each removal's matrix is a copy of the grounded matrix with
+    the removed vertex's row and column replaced by one placeholder
+    diagonal entry p (the largest diagonal entry), whose 1 / p is taken
+    out of the trace and the sum again, and the survivors' strengths
+    summed afresh on the diagonal. Removals are inverted in stacks of at
+    most ``_STACK_BYTES`` (9 matrices at order 120), one ``np.linalg.inv``
+    call per stack. The removal of the strongest vertex is grounded at the
+    second strongest, in its own solve. Cut vertices come from one batched
+    search and are not solved: their impact is ``inf``.
+
+    M is entrywise non-negative, so its largest row sum bounds its norm.
+    A solve that fails, a K that is not finite and positive, or one over
+    that bound not above m * eps * (largest diagonal entry of the
+    grounded matrix) is refused with ``NumericalError``: that resistance
+    is too small to resolve.
+
+    Requires a connected network with at least three vertices.
     """
-    if net.n < 3:
-        raise ValueError(f"need at least three vertices, got {net.n}")
-    spec = spectrum(weighted_laplacian(net))
-    if not spec.connected:
+    n = net.n
+    if n < 3:
+        raise ValueError(f"need at least three vertices, got {n}")
+    adjacency = net.adjacency
+    if len(_components(adjacency)) != 1:
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
-    kirchhoff = kirchhoff_index(spec)
-    base = normalized_kirchhoff(kirchhoff, net.n)
-    impacts = np.empty(net.n)
-    surviving: list[int | None] = []
-    for i in range(net.n):
-        keep = np.delete(np.arange(net.n), i)
-        w = net.weights[np.ix_(keep, keep)]
-        reduced = spectrum(np.diag(w.sum(axis=1)) - w)
-        k_reduced = kirchhoff_index(reduced)
-        impacts[i] = (normalized_kirchhoff(k_reduced, reduced.n) - base) / base
-        surviving.append(None if reduced.connected else max(reduced.component_sizes))
-    return RemovalImpacts(kirchhoff, impacts, tuple(surviving))
+    laplacian = weighted_laplacian(net)
+    _check_laplacian(laplacian)
+    ground, second = np.argsort(-np.diagonal(laplacian), kind="stable")[:2]
+    kirchhoff = float(_grounded_kirchhoff(_without(laplacian, ground)[None], n)[0])
+    if math.isnan(kirchhoff):
+        raise NumericalError(
+            f"window {net.label}: the resistance of a connected network of "
+            f"order {n} is too small to resolve"
+        )
+    cut = _cut_vertices(adjacency)
+    reduced = np.full(n, math.inf)
+    solved = np.flatnonzero(~cut & (np.arange(n) != ground))
+    reduced[solved] = _removal_kirchhoff(laplacian, net.weights, ground, solved)
+    if not cut[ground]:
+        reduced[ground] = _removal_kirchhoff(
+            laplacian, net.weights, second, np.array([ground])
+        )[0]
+    unresolved = np.flatnonzero(np.isnan(reduced))
+    if unresolved.size:
+        raise NumericalError(
+            f"window {net.label}: the resistance of the network without "
+            f"{net.firms[unresolved[0]]} is too small to resolve"
+        )
+    base = normalized_kirchhoff(kirchhoff, n)
+    impacts = (reduced / math.comb(n - 1, 2) - base) / base
+    surviving = tuple(
+        max(c.size for c in _components(_without(adjacency, i))) if cut[i] else None
+        for i in range(n)
+    )
+    return RemovalImpacts(kirchhoff, impacts, surviving)
+
+
+# Bytes of the removal matrices inverted by one call: a fixed budget, so
+# peak memory does not grow with the number of removals.
+_STACK_BYTES = 1 << 20
+
+
+def _without(matrix: np.ndarray, vertex: int) -> np.ndarray:
+    """The matrix with the row and column of ``vertex`` deleted."""
+    keep = np.arange(matrix.shape[0]) != vertex
+    return matrix[np.ix_(keep, keep)]
+
+
+def _removal_kirchhoff(
+    laplacian: np.ndarray, weights: np.ndarray, ground: int, removed: np.ndarray
+) -> np.ndarray:
+    """Kirchhoff index of the network without each vertex of ``removed``
+    in turn (none of them ``ground`` or a cut vertex), NaN where it cannot
+    be resolved; each removal is a copy of the matrix grounded at
+    ``ground`` with a placeholder diagonal entry for the removed vertex."""
+    grounded = _without(laplacian, ground)
+    order = grounded.shape[0]  # the survivors per removal; the placeholder keeps it
+    placeholder = float(grounded.diagonal().max())
+    to_ground = np.delete(weights[ground], ground)
+    position = removed - (removed > ground)
+    buffer = np.empty((max(1, _STACK_BYTES // grounded.nbytes), order, order))
+    kirchhoff = np.empty(removed.size)
+    for start in range(0, removed.size, len(buffer)):
+        part = slice(start, start + len(buffer))
+        at = position[part]
+        slots = np.arange(at.size)
+        stack = buffer[: at.size]
+        stack[...] = grounded
+        stack[slots, at, :] = 0.0
+        stack[slots, :, at] = 0.0
+        # the survivors' strengths summed afresh from zero: taking the
+        # removed vertex's weights off the base strengths would cancel digits
+        diagonal = stack.reshape(at.size, -1)[:, :: order + 1]
+        diagonal[...] = 0.0
+        diagonal[...] = to_ground - stack.sum(axis=2)
+        stack[slots, at, at] = placeholder
+        kirchhoff[part] = _grounded_kirchhoff(stack, order, placeholder)
+    return kirchhoff
+
+
+def _grounded_kirchhoff(
+    stack: np.ndarray, order: int, placeholder: float | None = None
+) -> np.ndarray:
+    """order * tr(M) - 1'M1 for the inverse M of each matrix in the stack,
+    a Laplacian of a network of that order grounded at one vertex, less
+    1 / ``placeholder`` in the trace and the sum when each matrix holds
+    that placeholder entry instead; NaN where the solve fails or the
+    resistance is not resolvable."""
+    try:
+        inverse = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.array([math.nan])
+        return np.concatenate(
+            [_grounded_kirchhoff(matrix[None], order, placeholder) for matrix in stack]
+        )
+    rows = inverse.sum(axis=2)
+    spare = 0.0 if placeholder is None else 1.0 / placeholder
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.einsum("kii->k", inverse) - spare
+        kirchhoff = order * trace - (rows.sum(axis=1) - spare)
+        top = stack.diagonal(axis1=1, axis2=2).max(axis=1)
+        resolved = rows.max(axis=1) * (order * np.finfo(float).eps * top) < 1.0
+    resolved &= np.isfinite(kirchhoff) & (kirchhoff > 0.0)
+    return np.where(resolved, kirchhoff, math.nan)
+
+
+def _cut_vertices(adjacency: np.ndarray) -> np.ndarray:
+    """Whether removing each vertex disconnects a connected graph of at
+    least two vertices: row i of ``reached`` grows from one survivor by a
+    whole frontier per step, with vertex i masked out."""
+    n = adjacency.shape[0]
+    steps = adjacency.astype(float)
+    rows = np.arange(n)
+    frontier = np.zeros((n, n), dtype=bool)
+    frontier[rows, (rows == 0).astype(int)] = True  # start at 0, or at 1 without 0
+    reached = frontier | np.eye(n, dtype=bool)  # the removed vertex is never entered
+    while frontier.any():
+        frontier = (frontier @ steps > 0.0) & ~reached
+        reached |= frontier
+    return ~reached.all(axis=1)
 
 
 def barrat_clustering(net: RiskNetwork, vertex: int) -> float:

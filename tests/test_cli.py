@@ -171,6 +171,20 @@ def test_non_utf8_saved_file_gives_error_json(panel_csv, tmp_path, capsys, comma
     assert str(target) in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "command, saved", [("rank", "reports"), ("export-charts", "networks")]
+)
+def test_truncated_saved_file_gives_error_json(panel_csv, tmp_path, capsys, command, saved):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / saved).glob("window_*.json"))[-1]
+    target.write_bytes(target.read_bytes()[:100])
+    payload = single_error(capsys, [command, "--out", str(out)])
+    assert payload["error"] == "NetworkFormatError"
+    assert str(target) in payload["message"]
+    assert "invalid JSON" in payload["message"]
+
+
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["rank", "--out", str(tmp_path)])
     assert code == 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import from_weights
+from graphgen import bfs_components, cut_vertices, from_weights
 from risknet.errors import NumericalError
 from risknet.pipeline import window_report
 from risknet.spectral import (
@@ -25,41 +25,6 @@ from risknet.spectral import (
     weighted_laplacian,
     werc_all,
 )
-
-
-def bfs_components(weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Components of the positive weights by a per-vertex search: members
-    sorted, components ordered by their smallest vertex."""
-    n = weights.shape[0]
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack, members = [start], [start]
-        while stack:
-            v = stack.pop()
-            for u in range(n):
-                if weights[v, u] > 0.0 and not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-                    members.append(u)
-        components.append(tuple(sorted(members)))
-    return tuple(components)
-
-
-def cut_vertices(weights: np.ndarray) -> dict[int, int]:
-    """Each vertex whose removal leaves more than one component, with the
-    order of the largest component left."""
-    n = weights.shape[0]
-    cuts = {}
-    for v in range(n):
-        keep = [i for i in range(n) if i != v]
-        pieces = bfs_components(weights[np.ix_(keep, keep)])
-        if len(pieces) > 1:
-            cuts[v] = max(len(p) for p in pieces)
-    return cuts
 
 
 @st.composite

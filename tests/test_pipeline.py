@@ -165,19 +165,28 @@ def test_window_report_refuses_tiny_component():
         window_report(from_weights(w))
 
 
-def test_window_report_solves_one_spectrum_per_removal_and_one_base(monkeypatch):
-    orders = []
-    real = spectral.spectrum
+def test_window_report_inverts_one_grounded_matrix_per_non_cut_removal_and_one_base(
+    monkeypatch,
+):
+    spectra, orders = [], []
+    real_spectrum, real_inv = spectral.spectrum, np.linalg.inv
 
-    def counting(laplacian):
-        orders.append(laplacian.shape[0])
-        return real(laplacian)
+    def counting_spectrum(laplacian):
+        spectra.append(laplacian.shape[0])
+        return real_spectrum(laplacian)
 
-    monkeypatch.setattr(spectral, "spectrum", counting)
+    def counting_inv(stack):
+        orders.extend([stack.shape[-1]] * (stack.shape[0] if stack.ndim == 3 else 1))
+        return real_inv(stack)
+
+    monkeypatch.setattr(spectral, "spectrum", counting_spectrum)
     # and the pipeline's own binding, should it import one
-    monkeypatch.setattr(pipeline, "spectrum", counting, raising=False)
-    window_report(random_connected(np.random.default_rng(5), 7))
-    assert sorted(orders) == [6] * 7 + [7]
+    monkeypatch.setattr(pipeline, "spectrum", counting_spectrum, raising=False)
+    monkeypatch.setattr(spectral.np.linalg, "inv", counting_inv)
+    report = window_report(random_connected(np.random.default_rng(5), 7))
+    assert spectra == []
+    # the placeholder entry keeps every removal at the base's grounded order
+    assert orders == [6] * (1 + sum(math.isfinite(v) for v in report.werc))
 
 
 def pendant_triangle(eps=1e-12):
