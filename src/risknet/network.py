@@ -246,13 +246,16 @@ def density(net: RiskNetwork) -> float:
 
 
 def network_to_dict(net: RiskNetwork) -> dict:
-    """JSON-ready form: firms plus the positive upper-triangle edges."""
-    edges = []
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            w = net.weights[i, j]
-            if w > 0.0:
-                edges.append([i, j, float(w)])
+    """JSON-ready form: firms plus the positive upper-triangle edges, as
+    ``[i, j, weight]`` lists of Python ints and floats in row-major order
+    (i < j)."""
+    rows, cols = np.triu_indices(net.n, k=1)
+    values = net.weights[rows, cols]
+    live = values > 0.0
+    edges = [
+        [i, j, w]
+        for i, j, w in zip(rows[live].tolist(), cols[live].tolist(), values[live].tolist())
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "window_id": net.window_id,
@@ -264,7 +267,13 @@ def network_to_dict(net: RiskNetwork) -> dict:
 
 
 def network_from_dict(payload: dict) -> RiskNetwork:
-    """Inverse of :func:`network_to_dict`, with schema validation."""
+    """Inverse of :func:`network_to_dict`, with schema validation.
+
+    Every edge must be a list ``[i, j, weight]`` with integer indices
+    0 <= i < j < n (a bool, a float such as 1.0 or a string is refused,
+    not truncated), a numeric weight in (0, 1], and no pair twice. The
+    first check that fails names its first offending entry.
+    """
     try:
         version = payload["schema_version"]
         if version != SCHEMA_VERSION:
@@ -278,30 +287,84 @@ def network_from_dict(payload: dict) -> RiskNetwork:
         raise NetworkFormatError(f"bad network payload: {exc}") from None
     if n != len(firms):
         raise NetworkFormatError(f"n={n} but {len(firms)} firms listed")
+    if not isinstance(edges, list):
+        raise NetworkFormatError(f"bad network payload: edges is a {type(edges).__name__}")
     weights = np.zeros((n, n))
-    for entry in edges:
-        try:
-            i, j, w = int(entry[0]), int(entry[1]), float(entry[2])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise NetworkFormatError(f"bad edge entry {entry!r}: {exc}") from None
-        if not 0 <= i < j < n:
-            raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
-        if not 0.0 < w <= 1.0:
-            raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
-        if weights[i, j] != 0.0:
-            raise NetworkFormatError(f"duplicate edge ({i}, {j})")
-        weights[i, j] = w
-        weights[j, i] = w
+    if edges:
+        rows, cols, values = _edge_columns(edges, n)
+        weights[rows, cols] = values
+        weights[cols, rows] = values
     return RiskNetwork(window_id=window_id, label=label, firms=firms, weights=weights)
 
 
+def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and weights of a non-empty edge list.
+
+    Types are checked a column at a time and values in numpy; only when a
+    check fails is the list walked again, for the first offending entry.
+    """
+
+    def first(bad) -> object:
+        return next(entry for entry in edges if bad(entry))
+
+    if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
+        entry = first(lambda e: type(e) is not list or len(e) != 3)
+        raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
+    rows, cols, values = zip(*edges)
+    if not set(map(type, rows)) | set(map(type, cols)) <= {int}:
+        entry = first(lambda e: type(e[0]) is not int or type(e[1]) is not int)
+        raise NetworkFormatError(f"edge indices must be integers: {entry!r}")
+    try:
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        ordered = bool(np.all((rows >= 0) & (rows < cols) & (cols < n)))
+    except OverflowError:  # an integer beyond 64 bits
+        ordered = False
+    if not ordered:
+        entry = first(lambda e: not 0 <= e[0] < e[1] < n)
+        raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
+    if not set(map(type, values)) <= {int, float}:
+        entry = first(lambda e: type(e[2]) not in (int, float))
+        raise NetworkFormatError(f"bad edge entry {entry!r}: weight is not a number")
+    try:
+        weights = np.array(values, dtype=float)
+        in_range = bool(np.all((weights > 0.0) & (weights <= 1.0)))
+    except OverflowError:  # an integer too large for a float
+        in_range = False
+    if not in_range:
+        entry = first(lambda e: not 0.0 < e[2] <= 1.0)
+        raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        at = repeats.min()
+        raise NetworkFormatError(f"duplicate edge ({rows[at]}, {cols[at]})")
+    return rows, cols, weights
+
+
+# One edge in the layout ``json.dump(..., indent=2)`` gives it; ``%r`` of a
+# Python int or float is what the json module writes for it.
+_EDGE = "    [\n      %r,\n      %r,\n      %r\n    ]"
+
+
 def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
+    """Write ``network_to_dict(net)`` as ``json.dump(..., indent=2)`` plus a
+    newline would, byte for byte, without running the json module's
+    pure-Python encoder on the edges: only the header goes through
+    ``json.dumps``, and each edge is rendered from a fixed template."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             write_network(net, handle)
         return
-    json.dump(network_to_dict(net), target, indent=2)
-    target.write("\n")
+    payload = network_to_dict(net)
+    edges = payload.pop("edges")
+    head = json.dumps(payload, indent=2)[: -len("\n}")]
+    if edges:
+        body = "[\n" + ",\n".join(_EDGE % tuple(e) for e in edges) + "\n  ]"
+    else:
+        body = "[]"
+    target.write(f'{head},\n  "edges": {body}\n}}\n')
 
 
 def read_json(source: str | Path | IO[str]) -> dict:

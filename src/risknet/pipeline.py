@@ -42,7 +42,7 @@ from .network import (
 from .panel import ReturnPanel, load_returns
 from .spectral import (
     RobustnessReport,
-    barrat_clustering,
+    barrat_clustering_all,
     largest_component,
     normalized_kirchhoff,
     werc_all,
@@ -297,7 +297,8 @@ def window_report(net: RiskNetwork) -> RobustnessReport:
     A disconnected network is restricted to its largest component first
     (noted in the report); a window whose analyzed component has fewer
     than three firms cannot support removal impacts and raises. Kirchhoff
-    index, impacts and surviving orders come from one ``werc_all`` pass.
+    index, impacts and surviving orders come from one ``werc_all`` pass,
+    and every firm's clustering from one ``barrat_clustering_all`` pass.
     """
     work = largest_component(net)
     note = None
@@ -318,7 +319,7 @@ def window_report(net: RiskNetwork) -> RobustnessReport:
         kirchhoff=removal.kirchhoff,
         normalized_kirchhoff=normalized_kirchhoff(removal.kirchhoff, work.n),
         werc=tuple(float(v) for v in removal.impacts),
-        clustering=tuple(barrat_clustering(work, i) for i in range(work.n)),
+        clustering=tuple(barrat_clustering_all(work).tolist()),
         strength=tuple(float(s) for s in work.strengths),
         surviving_order=removal.surviving_order,
     )

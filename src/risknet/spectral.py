@@ -59,6 +59,7 @@ __all__ = [
     "werc",
     "werc_all",
     "barrat_clustering",
+    "barrat_clustering_all",
 ]
 
 NEGATIVE_TOL = 1e-10
@@ -201,18 +202,21 @@ def effective_resistance_oracle(net: RiskNetwork) -> float:
 
     Uses the Moore-Penrose pseudo-inverse of the Laplacian: the resistance
     between i and j is P[i, i] + P[j, j] - 2 P[i, j]. For a connected
-    network P = inv(L + J / n) - J / n with J the all-ones matrix, which
-    needs no eigenvalue cutoff, so the oracle stays independent of the
-    eigenvalue route; quadratic in the number of pairs, meant for
-    cross-checks on small networks.
+    network P = inv(L + c J / n) - J / (c n) with J the all-ones matrix and
+    any c > 0, which needs no eigenvalue cutoff, so the oracle stays
+    independent of the eigenvalue route. c is the mean strength, which
+    keeps the shift on the Laplacian's scale: an unscaled J / n swamps a
+    network of small weights and costs digits. Quadratic in the number of
+    pairs, meant for cross-checks on small networks.
     """
     if len(connected_components(net)) != 1:
         raise DisconnectedNetworkError(
             f"window {net.label}: effective resistance is infinite across components"
         )
-    shift = np.full((net.n, net.n), 1.0 / net.n)
+    scale = float(net.strengths.mean())
+    projector = np.full((net.n, net.n), 1.0 / net.n)
     try:
-        pinv = np.linalg.inv(weighted_laplacian(net) + shift) - shift
+        pinv = np.linalg.inv(weighted_laplacian(net) + scale * projector) - projector / scale
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"pseudo-inverse failed: {exc}") from None
     total = 0.0
@@ -437,25 +441,35 @@ def _cut_vertices(adjacency: np.ndarray) -> np.ndarray:
 
 
 def barrat_clustering(net: RiskNetwork, vertex: int) -> float:
-    """Weighted clustering coefficient of one vertex.
+    """Weighted clustering coefficient of one vertex: entry ``vertex`` of
+    :func:`barrat_clustering_all`."""
+    if not 0 <= vertex < net.n:
+        raise ValueError(f"vertex {vertex} out of range for order {net.n}")
+    return float(barrat_clustering_all(net)[vertex])
+
+
+def barrat_clustering_all(net: RiskNetwork) -> np.ndarray:
+    """Weighted clustering coefficient of every vertex (Barrat et al.,
+    PNAS 2004).
 
     Averages, over ordered neighbour pairs that close a triangle, the mean
     of the two edge weights incident to the vertex, normalized by strength
     times (degree - 1). Vertices with fewer than two neighbours get 0. On
     a 0/1-weighted network this reduces to the binary clustering
     coefficient, and it always lies in [0, 1].
+
+    One product A @ A of the 0/1 adjacency counts the common neighbours of
+    every pair; the counts are small integers, so the float product is
+    exact. Each vertex then sums count times incident weight over its own
+    neighbours alone, in index order.
     """
-    if not 0 <= vertex < net.n:
-        raise ValueError(f"vertex {vertex} out of range for order {net.n}")
     adjacency = net.adjacency
-    neighbours = np.flatnonzero(adjacency[vertex])
-    k = neighbours.size
-    if k <= 1:
-        return 0.0
-    sub = adjacency[np.ix_(neighbours, neighbours)]
-    incident = net.weights[vertex, neighbours]
-    pair_sum = float((sub.sum(axis=1) * incident).sum())
-    strength = float(net.weights[vertex].sum())
+    binary = adjacency.astype(float)
+    terms = (binary @ binary) * net.weights
+    degree = adjacency.sum(axis=1)
+    pair_sum = np.array([terms[v, adjacency[v]].sum() for v in range(net.n)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = pair_sum / (net.strengths * (degree - 1))
     # numerator and denominator sum the same terms in different orders, so
     # round-off can poke a hair past 1; the true value cannot
-    return min(1.0, pair_sum / (strength * (k - 1)))
+    return np.where(degree > 1, np.minimum(1.0, ratio), 0.0)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import datetime as dt
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risknet.errors import (
     DegeneratePairError,
@@ -30,7 +34,7 @@ from risknet.network import (
     write_network,
 )
 from risknet.panel import panel_from_rows
-from risknet.windows import WindowScheme, window_panel
+from risknet.windows import WindowScheme, WindowSlice, window_panel
 
 
 def month_slice(values, mask=None, min_obs=15):
@@ -303,3 +307,175 @@ def test_network_payload_validation():
         network_from_dict(dup)
     with pytest.raises(NetworkFormatError, match="invalid JSON"):
         read_network(io.StringIO("{not json"))
+
+
+
+def format_oracle(net):
+    """The network payload built one pair at a time: ``json.dumps`` of it
+    with ``indent=2``, plus a newline, is the saved network's byte format."""
+    edges = []
+    for i in range(net.n):
+        for j in range(i + 1, net.n):
+            w = net.weights[i, j]
+            if w > 0.0:
+                edges.append([i, j, float(w)])
+    return {
+        "schema_version": 1,
+        "window_id": net.window_id,
+        "label": net.label,
+        "n": net.n,
+        "firms": list(net.firms),
+        "edges": edges,
+    }
+
+
+NAMES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['Q"uote', "Zürich Rück", "東京海上", "back\\slash", "tab\tnew\nline"]),
+)
+WEIGHTS = st.one_of(
+    st.just(5e-324),
+    st.just(1.0),
+    st.floats(5e-324, 2.2250738585072014e-308),  # subnormal
+    st.floats(5e-324, 1.0),
+)
+
+
+@st.composite
+def networks(draw) -> RiskNetwork:
+    """2..12 firms with no edge, every edge, or any subset of them."""
+    n = draw(st.integers(2, 12))
+    layout = draw(st.sampled_from(["empty", "full", "some"]))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if layout == "full" or (layout == "some" and draw(st.booleans())):
+                w[i, j] = w[j, i] = draw(WEIGHTS)
+    firms = tuple(draw(st.lists(NAMES, min_size=n, max_size=n)))
+    return RiskNetwork(draw(st.integers(0, 10**6)), draw(NAMES), firms, w)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(networks())
+def test_writer_bytes_match_json_dump_of_the_per_pair_payload(net):
+    buffer = io.StringIO()
+    write_network(net, buffer)
+    text = buffer.getvalue()
+    assert text == json.dumps(format_oracle(net), indent=2) + "\n"
+    assert network_to_dict(net) == format_oracle(net)
+    again = read_network(io.StringIO(text))
+    assert (again.window_id, again.label, again.firms) == (net.window_id, net.label, net.firms)
+    assert np.array_equal(again.weights, net.weights)
+
+
+def test_writer_bytes_match_json_dump_on_a_file(tmp_path):
+    w = np.array([[0.0, 5e-324, 1.0], [5e-324, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    net = RiskNetwork(7, "2009-03", ("A", 'B"', "Zürich"), w)
+    write_network(net, tmp_path / "net.json")
+    raw = (tmp_path / "net.json").read_bytes()
+    assert raw == (json.dumps(format_oracle(net), indent=2) + "\n").encode("utf-8")
+
+
+BASE = {"schema_version": 1, "window_id": 1, "label": "x", "n": 3, "firms": ["A", "B", "C"]}
+
+
+def test_edge_indices_must_be_integers_not_truncated():
+    # int() reads the first of these as the edges (0, 1) and (1, 2)
+    for edges in (
+        json.loads('[[0.7, 1.9, 0.5], [true, "2", 0.25]]'),
+        [[0, 1.0, 0.5]],
+        [[True, 2, 0.25]],
+        [[0, "2", 0.25]],
+    ):
+        with pytest.raises(NetworkFormatError, match="indices must be integers"):
+            network_from_dict(dict(BASE, edges=edges))
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 1, 0.5], [1, 2]], r"bad edge entry \[1, 2\]: expected"),
+        ([[0, 1, 0.5], "abc"], r"bad edge entry 'abc': expected"),
+        ([[0, 1, 0.5], [1, 2, 0.5, 0.5]], r"bad edge entry \[1, 2, 0.5, 0.5\]"),
+        ([[0, 1, [0.5]]], r"bad edge entry \[0, 1, \[0.5\]\]: weight is not a number"),
+        ([[0, 1, "0.5"]], r"bad edge entry \[0, 1, '0.5'\]: weight is not a number"),
+        ([[0, 1, None]], "weight is not a number"),
+        ([[0, 1, True]], "weight is not a number"),
+        ([[0, 1, 0.5], [2, 1, 0.5]], r"indices out of order or range: \[2, 1, 0.5\]"),
+        ([[0, 3, 0.5]], r"indices out of order or range: \[0, 3, 0.5\]"),
+        ([[-1, 2, 0.5]], "indices out of order or range"),
+        ([[1, 1, 0.5]], "indices out of order or range"),
+        ([[0, 10**30, 0.5]], "indices out of order or range"),
+        ([[0, 1, 0.5], [1, 2, 0.0]], r"weight outside \(0, 1\]: \[1, 2, 0.0\]"),
+        ([[0, 1, float("nan")]], r"weight outside \(0, 1\]"),
+        ([[0, 1, 10**400]], r"weight outside \(0, 1\]"),
+        ([[0, 1, 0.5], [1, 2, 0.5], [1, 2, 0.25], [0, 1, 0.5]], r"duplicate edge \(1, 2\)"),
+        (5, "bad network payload"),
+        ({"0": [0, 1, 0.5]}, "bad network payload"),
+    ],
+)
+def test_edge_validation_names_the_first_bad_entry(edges, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        network_from_dict(dict(BASE, edges=edges))
+
+
+def test_integer_weights_are_read_as_floats():
+    net = network_from_dict(dict(BASE, edges=[[0, 2, 1], [0, 1, 0.25]]))
+    assert net.weights[0, 2] == 1.0 and net.weights[2, 0] == 1.0
+    assert net.weights[0, 1] == 0.25 and net.m == 2
+
+
+def diagnostic_counts(built, leave_out=frozenset()):
+    """Diagnostics as a multiset, a pair's two firms unordered, without
+    those that name a firm in ``leave_out``."""
+    return collections.Counter(
+        (d.kind, frozenset({d.source, d.target}), d.detail)
+        for d in built.diagnostics
+        if not {d.source, d.target} & leave_out
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_masking_a_third_firm_leaves_the_other_weights_bit_identical(seed, data):
+    window = random_window(np.random.default_rng(seed))
+    n = window.n_firms
+    if window.degenerate or n < 3:
+        return
+    alpha = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+    k = data.draw(st.integers(0, n - 1))
+    drop = data.draw(st.lists(st.booleans(), min_size=window.n_days, max_size=window.n_days))
+    mask = window.mask.copy()
+    mask[np.array(drop), k] = False
+    before = build_directed(window, alpha)
+    after = build_directed(dataclasses.replace(window, mask=mask), alpha)
+    keep = [i for i in range(n) if i != k]
+    assert np.array_equal(
+        after.matrix[np.ix_(keep, keep)], before.matrix[np.ix_(keep, keep)]
+    )
+    masked = {window.firms[k]}
+    assert diagnostic_counts(after, masked) == diagnostic_counts(before, masked)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_permuting_firms_permutes_weights_and_diagnostics(seed, data):
+    window = random_window(np.random.default_rng(seed))
+    if window.degenerate:
+        return
+    n = window.n_firms
+    alpha = data.draw(st.sampled_from([0.05, 0.1, 0.25]))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    # C order, as window_panel lays a window out: column sums over days in
+    # another layout may round differently
+    permuted = dataclasses.replace(
+        window,
+        firms=tuple(window.firms[p] for p in perm),
+        returns=np.ascontiguousarray(window.returns[:, perm]),
+        mask=np.ascontiguousarray(window.mask[:, perm]),
+    )
+    before = build_directed(window, alpha)
+    after = build_directed(permuted, alpha)
+    assert after.firms == permuted.firms
+    assert np.array_equal(after.matrix, before.matrix[np.ix_(perm, perm)])
+    assert diagnostic_counts(after) == diagnostic_counts(before)

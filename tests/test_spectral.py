@@ -7,12 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
 from risknet.errors import DisconnectedNetworkError
 from risknet.network import build_directed, symmetrize
 from risknet.spectral import (
     barrat_clustering,
+    barrat_clustering_all,
     connected_components,
     effective_resistance_oracle,
     kirchhoff_index,
@@ -239,6 +242,58 @@ def test_barrat_stays_in_unit_interval():
         net = from_weights(upper + upper.T)
         for i in range(n):
             assert 0.0 <= barrat_clustering(net, i) <= 1.0
+
+
+def barrat_oracle(net, vertex):
+    """Barrat clustering of one vertex from its neighbourhood submatrix."""
+    adjacency = net.adjacency
+    neighbours = np.flatnonzero(adjacency[vertex])
+    k = neighbours.size
+    if k <= 1:
+        return 0.0
+    sub = adjacency[np.ix_(neighbours, neighbours)]
+    incident = net.weights[vertex, neighbours]
+    pair_sum = float((sub.sum(axis=1) * incident).sum())
+    strength = float(net.weights[vertex].sum())
+    return min(1.0, pair_sum / (strength * (k - 1)))
+
+
+@st.composite
+def sparse_weights(draw) -> np.ndarray:
+    """1..24 vertices, each pair an edge with a drawn probability (isolated
+    vertices and pendants come up often); all weights 1, or each 1, tiny
+    or uniform."""
+    n = draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    weight = st.one_of(st.just(1.0), st.just(5e-324), st.floats(1e-300, 1.0))
+    if draw(st.booleans()):
+        weight = st.just(1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                w[i, j] = w[j, i] = draw(weight)
+    return w
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sparse_weights())
+def test_barrat_all_is_bit_identical_to_the_per_vertex_oracle(w):
+    net = from_weights(w)
+    expected = np.array([barrat_oracle(net, v) for v in range(net.n)])
+    assert np.array_equal(barrat_clustering_all(net), expected)
+    assert all(barrat_clustering(net, v) == expected[v] for v in range(net.n))
+
+
+def test_barrat_all_on_isolated_pendant_and_unit_weights():
+    w = np.zeros((6, 6))
+    for i, j in ((0, 1), (0, 2), (1, 2), (2, 3)):  # triangle, pendant 3
+        w[i, j] = w[j, i] = 1.0  # vertices 4 and 5 isolated
+    values = barrat_clustering_all(from_weights(w))
+    assert values.tolist() == [1.0, 1.0, 1.0 / 3.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="out of range"):
+        barrat_clustering(from_weights(w), 6)
 
 
 def test_spectrum_rejects_non_laplacian():

@@ -77,6 +77,15 @@ def impact(k_removed: float, k: float, n: int) -> float:
     return (k_removed / math.comb(n - 1, 2) - k / math.comb(n, 2)) / (k / math.comb(n, 2))
 
 
+def test_oracle_shift_keeps_digits_at_any_weight_scale():
+    # an unscaled J / n shift cost 9.5e-11 relative at scale 1e-8
+    net = random_connected(np.random.default_rng(3), 12)
+    for scale in (1.0, 1e-4, 1e-8):
+        w = net.weights * scale
+        k, _ = decimal_resistance(w)
+        assert effective_resistance_oracle(from_weights(w)) == pytest.approx(k, rel=1e-12)
+
+
 @st.composite
 def connected_weights(draw, low: float) -> np.ndarray:
     """Symmetric weights of a connected graph on 3..12 vertices: a random
