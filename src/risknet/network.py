@@ -23,11 +23,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, TypeVar
 
 import numpy as np
 
-from .errors import EstimationError, NetworkFormatError, WindowError
+from .errors import EstimationError, NetworkFormatError, RiskNetError, WindowError
 from .windows import WindowSlice
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,10 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
     if not 0.0 < alpha < 0.5:
         raise EstimationError(f"tail level must lie in (0, 0.5), got {alpha}")
     firms = window.firms
-    mask = window.mask
-    r = np.where(mask, window.returns, 0.0)
+    # C order whatever the window's layout: numpy sums a column over days
+    # in an order that depends on the layout, and the last bit with it
+    mask = np.ascontiguousarray(window.mask)
+    r = np.ascontiguousarray(np.where(mask, window.returns, 0.0))
     n = r.shape[1]
     needed = math.ceil(1.0 / alpha)
     floor = max(window.min_obs, needed)
@@ -367,21 +371,27 @@ def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
     target.write(f'{head},\n  "edges": {body}\n}}\n')
 
 
-def read_json(source: str | Path | IO[str]) -> dict:
-    """Payload of a saved network or report, from a UTF-8 file or a stream."""
-    if isinstance(source, (str, Path)):
+def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
+    """``parse`` of the payload of a saved network or report, from a UTF-8
+    file or a stream; where ``source`` is a path, every error names it."""
+    if not isinstance(source, (str, Path)):
         try:
-            with open(source, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
+            payload = json.load(source)
         except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
+            raise NetworkFormatError(f"invalid JSON: {exc}") from None
+        return parse(payload)
     try:
-        return json.load(source)
+        with open(source, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"invalid JSON: {exc}") from None
+        raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
+    try:
+        return parse(payload)
+    except RiskNetError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def read_network(source: str | Path | IO[str]) -> RiskNetwork:
-    return network_from_dict(read_json(source))
+    return read_json(source, network_from_dict)

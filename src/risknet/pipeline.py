@@ -625,7 +625,7 @@ def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
     directory = Path(out_dir) / "reports"
     if not directory.is_dir():
         raise NetworkFormatError(f"no reports directory under {out_dir}")
-    reports = tuple(report_from_dict(read_json(p)) for p in _window_files(directory))
+    reports = tuple(read_json(p, report_from_dict) for p in _window_files(directory))
     if not reports:
         raise NetworkFormatError(f"no report files in {directory}")
     return reports

@@ -15,8 +15,11 @@ orders comparable.
 The same K needs no spectrum: with M the inverse of L grounded at any one
 vertex (its row and column deleted), K = n * tr(M) - 1'M1 (Klein and
 Randic, "Resistance distance", 1993). ``werc_all`` takes that route for a
-network and all its removals; ``spectrum`` with ``kirchhoff_index`` and
-``effective_resistance_oracle`` are independent routes that check it.
+network and all its removals, without forming M: with C the Cholesky
+factor of the grounded matrix, M = C^-T C^-1, so tr(M) is the sum of the
+squares of C^-1 and 1'M1 = |C^-1 1|^2, and C^-1 comes from a triangular
+inverse made of matrix products. ``spectrum`` with ``kirchhoff_index``
+and ``effective_resistance_oracle`` are independent routes that check it.
 
 Connectivity is decided by the positive weights alone, however small; the
 solvers only measure resistance. A network its positive weights connect
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DisconnectedNetworkError, NumericalError
 from .network import RiskNetwork
@@ -300,17 +304,20 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
     the removed vertex's row and column replaced by one placeholder
     diagonal entry p (the largest diagonal entry), whose 1 / p is taken
     out of the trace and the sum again, and the survivors' strengths
-    summed afresh on the diagonal. Removals are inverted in stacks of at
-    most ``_STACK_BYTES`` (9 matrices at order 120), one ``np.linalg.inv``
-    call per stack. The removal of the strongest vertex is grounded at the
-    second strongest, in its own solve. Cut vertices come from one batched
-    search and are not solved: their impact is ``inf``.
+    summed afresh on the diagonal. Removals are factored in stacks of at
+    most ``_STACK_BYTES`` (9 matrices at order 120), one
+    ``np.linalg.cholesky`` call per stack, and each triangular factor is
+    inverted in place; no LU inverse is formed. The removal of the
+    strongest vertex is grounded at the second strongest, in its own
+    solve. Cut vertices come from one batched search and are not solved:
+    their impact is ``inf``.
 
     M is entrywise non-negative, so its largest row sum bounds its norm.
-    A solve that fails, a K that is not finite and positive, or one over
-    that bound not above m * eps * (largest diagonal entry of the
-    grounded matrix) is refused with ``NumericalError``: that resistance
-    is too small to resolve.
+    A factorization that fails (rounding left the matrix not positive
+    definite), a K that is not finite and positive, or one over that
+    bound not above m * eps * (largest diagonal entry of the grounded
+    matrix) is refused with ``NumericalError``: that resistance is too
+    small to resolve.
 
     Requires a connected network with at least three vertices.
     """
@@ -403,25 +410,78 @@ def _grounded_kirchhoff(
     """order * tr(M) - 1'M1 for the inverse M of each matrix in the stack,
     a Laplacian of a network of that order grounded at one vertex, less
     1 / ``placeholder`` in the trace and the sum when each matrix holds
-    that placeholder entry instead; NaN where the solve fails or the
-    resistance is not resolvable."""
+    that placeholder entry instead; NaN where the factorization fails or
+    the resistance is not resolvable.
+
+    With C the Cholesky factor, M = C^-T C^-1, so tr(M) is the sum of
+    squares of C^-1, 1'M1 = |C^-1 1|^2, and the row sums
+    M 1 = C^-T (C^-1 1) come from one more matrix-vector product.
+    """
     try:
-        inverse = np.linalg.inv(stack)
+        factor = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         if len(stack) == 1:
             return np.array([math.nan])
         return np.concatenate(
             [_grounded_kirchhoff(matrix[None], order, placeholder) for matrix in stack]
         )
-    rows = inverse.sum(axis=2)
     spare = 0.0 if placeholder is None else 1.0 / placeholder
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = np.einsum("kii->k", inverse) - spare
-        kirchhoff = order * trace - (rows.sum(axis=1) - spare)
+        inverse = _invert_lower(factor)
+        ones = inverse.sum(axis=2)
+        rows = np.matmul(ones[:, None, :], inverse)[:, 0]
+        trace = np.square(inverse, out=inverse).sum(axis=(1, 2)) - spare
+        kirchhoff = order * trace - (np.square(ones).sum(axis=1) - spare)
         top = stack.diagonal(axis1=1, axis2=2).max(axis=1)
         resolved = rows.max(axis=1) * (order * np.finfo(float).eps * top) < 1.0
     resolved &= np.isfinite(kirchhoff) & (kirchhoff > 0.0)
     return np.where(resolved, kirchhoff, math.nan)
+
+
+def _invert_lower(factor: np.ndarray) -> np.ndarray:
+    """Invert a stack of lower-triangular matrices with nonzero diagonals
+    in place, and return it.
+
+    The diagonal entries are inverted first. Then, with the inverses of
+    the diagonal blocks of size s in hand, each pair of neighbouring
+    blocks [[A, 0], [B, D]] becomes the inverse of one block of size 2 s
+    by B <- -D^-1 B A^-1, for s = 1, 2, 4, ... The pairs of full blocks
+    go through one strided view per level; where the order is not a
+    multiple of 2 s, a last pair with a shorter D gets its own product,
+    and a lone last block waits for the next level.
+    """
+    count, order, _ = factor.shape
+    diagonal = factor.reshape(count, -1)[:, :: order + 1]
+    np.reciprocal(diagonal, out=diagonal)
+    step, row, col = factor.strides
+    size = 1
+    while size < order:
+        pairs = order // (2 * size)
+        if pairs:
+            shape = (count, pairs, size, size)
+            strides = (step, 2 * size * (row + col), row, col)
+            leading = as_strided(factor, shape, strides)
+            trailing = as_strided(factor[:, size:, size:], shape, strides)
+            corner = as_strided(factor[:, size:, :], shape, strides)
+            _pair_inverse(leading, trailing, corner)
+        start = 2 * size * pairs
+        if order - start > size:
+            middle = start + size
+            _pair_inverse(
+                factor[:, start:middle, start:middle],
+                factor[:, middle:, middle:],
+                factor[:, middle:, start:middle],
+            )
+        size *= 2
+    return factor
+
+
+def _pair_inverse(leading: np.ndarray, trailing: np.ndarray, corner: np.ndarray) -> None:
+    """corner <- -trailing @ corner @ leading, in place: the off-diagonal
+    block of an inverse from the inverted diagonal blocks."""
+    product = np.matmul(trailing, corner)
+    np.negative(product, out=product)
+    np.matmul(product, leading, out=corner)
 
 
 def _cut_vertices(adjacency: np.ndarray) -> np.ndarray:

@@ -185,6 +185,32 @@ def test_truncated_saved_file_gives_error_json(panel_csv, tmp_path, capsys, comm
     assert "invalid JSON" in payload["message"]
 
 
+def test_out_of_range_saved_weight_names_the_file(panel_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / "networks").glob("window_*.json"))[-1]
+    payload = json.loads(target.read_text())
+    payload["edges"][0][2] = 1.5
+    target.write_text(json.dumps(payload))
+    error = single_error(capsys, ["export-charts", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    assert error["message"].startswith(f"{target}: ")
+    assert "1.5" in error["message"]
+
+
+def test_missing_saved_report_key_names_the_file(panel_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / "reports").glob("window_*.json"))[-1]
+    payload = json.loads(target.read_text())
+    del payload["kirchhoff"]
+    target.write_text(json.dumps(payload))
+    error = single_error(capsys, ["rank", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    assert error["message"].startswith(f"{target}: ")
+    assert "kirchhoff" in error["message"]
+
+
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["rank", "--out", str(tmp_path)])
     assert code == 1

@@ -169,20 +169,20 @@ def test_window_report_inverts_one_grounded_matrix_per_non_cut_removal_and_one_b
     monkeypatch,
 ):
     spectra, orders = [], []
-    real_spectrum, real_inv = spectral.spectrum, np.linalg.inv
+    real_spectrum, real_cholesky = spectral.spectrum, np.linalg.cholesky
 
     def counting_spectrum(laplacian):
         spectra.append(laplacian.shape[0])
         return real_spectrum(laplacian)
 
-    def counting_inv(stack):
+    def counting_cholesky(stack):
         orders.extend([stack.shape[-1]] * (stack.shape[0] if stack.ndim == 3 else 1))
-        return real_inv(stack)
+        return real_cholesky(stack)
 
     monkeypatch.setattr(spectral, "spectrum", counting_spectrum)
     # and the pipeline's own binding, should it import one
     monkeypatch.setattr(pipeline, "spectrum", counting_spectrum, raising=False)
-    monkeypatch.setattr(spectral.np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(spectral.np.linalg, "cholesky", counting_cholesky)
     report = window_report(random_connected(np.random.default_rng(5), 7))
     assert spectra == []
     # the placeholder entry keeps every removal at the base's grounded order

@@ -1,10 +1,11 @@
 """The grounded removal kernel against independent routes.
 
-``werc_all`` inverts grounded Laplacians in stacks; its Kirchhoff index,
-removal impacts and surviving orders are checked against a 40-digit
-decimal pseudo-inverse, the eigenvalue route (``kirchhoff_index`` of
-``spectrum``), the per-removal ``effective_resistance_oracle`` and a
-breadth-first search.
+``werc_all`` factors grounded Laplacians in stacks and inverts the
+triangular factors; its Kirchhoff index, removal impacts and surviving
+orders are checked against a 40-digit decimal pseudo-inverse, the
+eigenvalue route (``kirchhoff_index`` of ``spectrum``), the per-removal
+``effective_resistance_oracle`` and a breadth-first search. The
+triangular inverse itself is checked against ``np.linalg.inv``.
 
 No double-precision route resolves a resistance beyond its conditioning:
 with M the largest effective resistance and S the largest strength of a
@@ -182,18 +183,41 @@ def assert_matches_eigen_route(net) -> None:
 def test_stacks_split_across_several_inverse_calls(n, monkeypatch):
     net = random_connected(np.random.default_rng(n), n, extra_edge_prob=0.2)
     assert_matches_eigen_route(net)
-    calls = []
-    real_inv = np.linalg.inv
+    calls, inverse_calls = [], []
+    real_cholesky, real_inv = np.linalg.cholesky, np.linalg.inv
 
-    def counting_inv(stack):
+    def counting_cholesky(stack):
         calls.append(stack.shape[0])
-        return real_inv(stack)
+        return real_cholesky(stack)
 
+    def counting_inv(matrix):
+        inverse_calls.append(matrix.shape)
+        return real_inv(matrix)
+
+    monkeypatch.setattr(spectral.np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(spectral.np.linalg, "inv", counting_inv)
     removal = werc_all(net)
+    assert inverse_calls == []
     slots = spectral._STACK_BYTES // (8 * (n - 1) ** 2)
     assert sum(calls) == 1 + np.isfinite(removal.impacts).sum()
     assert calls.count(slots) >= 1 and sum(c > 1 for c in calls) >= 2
+
+
+@pytest.mark.parametrize("count", [1, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 63, 64, 65, 119, 127, 128, 129])
+def test_triangular_inverse_matches_linalg_inv(order, count):
+    rng = np.random.default_rng(order * 10 + count)
+    for _ in range(3):
+        # off-diagonals of size 1 / order keep the factors well conditioned
+        lower = np.tril(rng.uniform(-1.0, 1.0, (count, order, order)), -1) / order
+        diagonal = lower.reshape(count, -1)[:, :: order + 1]
+        diagonal[...] = rng.uniform(0.1, 10.0, (count, order))
+        expected = np.linalg.inv(lower)
+        inverse = lower.copy()
+        assert spectral._invert_lower(inverse) is inverse
+        scale = np.abs(expected).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(inverse - expected) <= 1e-10 * scale)
+        assert not np.triu(inverse, 1).any()
 
 
 def test_stack_size_does_not_change_results(monkeypatch):
