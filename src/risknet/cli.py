@@ -17,8 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the environment says otherwise, set before numpy
+# loads OpenBLAS. The command's factorizations and products are of the
+# order of a window's firms (about 120 in the study), where a second
+# thread does not make the WERC kernel faster; its idle worker spins, or
+# is woken onto the main thread's core, so a run's time would depend on
+# whether the other core is free.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .charts import emit_charts
 from .errors import RiskNetError

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import risknet
 from risknet.cli import main
 from risknet.panel import save_returns
 from risknet.synthetic import generate_panel
@@ -227,3 +232,30 @@ def test_build_with_no_usable_window_fails_cleanly(panel_csv, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "RiskNetError"
     assert "no non-degenerate window" in payload["message"]
+
+
+_THREAD_PROBE = """
+import os, sys
+import risknet
+assert "numpy" not in sys.modules
+import risknet.cli
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ["OPENBLAS_NUM_THREADS"], threads)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_command_defaults_to_one_blas_thread(preset):
+    """Importing the package loads no numpy, so the command module sets one
+    OpenBLAS thread before OpenBLAS starts; a count in the environment wins."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(risknet.__file__).parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    setting, threads = probe.stdout.split()
+    assert setting == (preset or "1")
+    if preset is None and threads != "None":
+        assert threads == "1"  # no BLAS worker thread in the command's process
