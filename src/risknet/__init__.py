@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "RiskNetError": "errors",
     "load_returns": "panel",
-    "WindowScheme": "windows",
     "window_panel": "windows",
     "build_directed": "network",
     "symmetrize": "network",

@@ -1,15 +1,17 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, and the flags each takes besides ``--out``, ``--config`` and
+``-v``:
 
-* ``build``          parse the panel and write per-window networks only
-* ``analyze``        full study: networks, reports, rankings, timeseries
-                     (and charts with --charts)
-* ``rank``           recompute ranking tables from saved reports
-* ``export-charts``  render charts from saved reports and networks
+* ``build``          ``--input --alpha --min-obs``: parse the panel and
+                     write per-window networks only
+* ``analyze``        ``--input --alpha --min-obs --periods --charts``: full
+                     study (networks, reports, rankings, timeseries, charts)
+* ``rank``           ``--periods``: recompute ranking tables from saved reports
+* ``export-charts``  ``--periods``: render charts from saved reports and networks
 
-All fatal errors exit nonzero with a one-line JSON object on stderr:
-``{"error": "<type>", "message": "<detail>"}``.
+All fatal errors, usage errors included, exit 1 with a one-line JSON
+object on stderr: ``{"error": "<type>", "message": "<detail>"}``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .charts import emit_charts
-from .errors import RiskNetError
+from .errors import ConfigError, RiskNetError
 from .panel import load_returns
 from .pipeline import (
     StudyConfig,
@@ -48,60 +50,57 @@ from .pipeline import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_input: bool) -> None:
-    if needs_input:
-        parser.add_argument("--input", required=True, help="return panel CSV")
-    parser.add_argument("--out", required=True, help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them like any other error."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _add_command(sub, name: str, summary: str, *, panel: bool = False, periods: bool = True):
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--out", required=True, type=Path, help="output directory")
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--alpha", type=float, help="tail level (default 0.05)")
-    parser.add_argument("--min-obs", type=int, help="eligibility floor per window")
-    parser.add_argument(
-        "--periods",
-        help="sub-periods as 'Name=YYYY-MM..YYYY-MM;Name=...' (default: the four study periods)",
-    )
+    if panel:
+        parser.add_argument("--input", required=True, type=Path, help="return panel CSV")
+        parser.add_argument("--alpha", type=float, help="tail level (default 0.05)")
+        parser.add_argument("--min-obs", type=int, help="eligibility floor per window")
+    if periods:
+        parser.add_argument(
+            "--periods",
+            help="sub-periods as 'Name=YYYY-MM..YYYY-MM;Name=...' (default: the four study periods)",
+        )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress")
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risknet",
         description="Tail-risk networks of firms and robustness-based rankings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="write per-window networks only")
-    _add_common(p_build, needs_input=True)
-
-    p_analyze = sub.add_parser("analyze", help="run the full study")
-    _add_common(p_analyze, needs_input=True)
-    p_analyze.add_argument(
-        "--charts", action="store_true", help="also render SVG charts"
-    )
-
-    p_rank = sub.add_parser("rank", help="recompute rankings from saved reports")
-    _add_common(p_rank, needs_input=False)
-
-    p_charts = sub.add_parser(
-        "export-charts", help="render charts from saved outputs"
-    )
-    _add_common(p_charts, needs_input=False)
+    _add_command(sub, "build", "write per-window networks only", panel=True, periods=False)
+    analyze = _add_command(sub, "analyze", "run the full study", panel=True)
+    analyze.add_argument("--charts", action="store_true", help="also render SVG charts")
+    _add_command(sub, "rank", "recompute rankings from saved reports")
+    _add_command(sub, "export-charts", "render charts from saved outputs")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> StudyConfig:
-    file_values = load_config_file(args.config) if args.config else None
-    overrides: dict = {
-        "alpha": args.alpha,
-        "min_obs": args.min_obs,
-        "out_dir": Path(args.out),
-    }
-    if getattr(args, "input", None):
-        overrides["input_path"] = Path(args.input)
-    if args.periods:
-        overrides["sub_periods"] = parse_periods(args.periods)
-    if getattr(args, "charts", False):
-        overrides["charts"] = True
-    return config_from_sources(file_values, **overrides)
+    """Config-file values overridden by the flags this subcommand takes."""
+    flags = vars(args)
+    periods = flags.get("periods")
+    return config_from_sources(
+        load_config_file(args.config) if args.config else None,
+        input_path=flags.get("input"),
+        out_dir=args.out,
+        alpha=flags.get("alpha"),
+        min_obs=flags.get("min_obs"),
+        sub_periods=parse_periods(periods) if periods else None,
+        charts=flags.get("charts"),
+    )
 
 
 def _cmd_build(config: StudyConfig) -> int:
@@ -155,13 +154,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr,
+        )
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)
     except (RiskNetError, OSError) as exc:

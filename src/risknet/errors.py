@@ -16,8 +16,8 @@ class PanelFormatError(RiskNetError):
 
 
 class WindowError(RiskNetError):
-    """Invalid windowing scheme or degenerate window used where a healthy
-    one is required."""
+    """Eligibility floor ``min_obs`` below 1, or a degenerate or
+    unanalyzable window used where a healthy one is required."""
 
 
 class EstimationError(RiskNetError):
@@ -38,7 +38,7 @@ class InestimablePairError(RiskNetError):
 
 class ConfigError(RiskNetError):
     """Invalid study configuration (bad key, malformed period range,
-    overlapping sub-periods)."""
+    overlapping sub-periods) or command line (unknown or missing flag)."""
 
 
 class NetworkFormatError(RiskNetError):

@@ -34,8 +34,8 @@ from .network import (
     RiskNetwork,
     build_directed,
     density,
+    network_from_dict,
     read_json,
-    read_network,
     symmetrize,
     write_network,
 )
@@ -47,7 +47,7 @@ from .spectral import (
     normalized_kirchhoff,
     werc_all,
 )
-from .windows import WindowScheme, window_panel
+from .windows import window_panel
 
 __all__ = [
     "SubPeriod",
@@ -155,7 +155,6 @@ class StudyConfig:
     out_dir: Path | None = None
     alpha: float = 0.05
     min_obs: int = 15
-    window: str = "calendar_month"
     delimiter: str = ","
     sub_periods: tuple[SubPeriod, ...] = DEFAULT_SUB_PERIODS
     charts: bool = False
@@ -178,19 +177,15 @@ class StudyConfig:
         if len(set(slugs)) != len(slugs):
             raise ConfigError(f"period labels collide after slugging: {labels}")
 
-    @property
-    def scheme(self) -> WindowScheme:
-        return WindowScheme(kind=self.window, min_obs=self.min_obs)
 
-
-_CONFIG_KEYS = ("min_obs", "window", "confidence", "delimiter", "periods")
+_CONFIG_KEYS = ("min_obs", "confidence", "delimiter", "periods")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a key=value config file ('#' starts a comment).
 
-    Documented keys: min_obs, window (calendar_month), confidence (the VaR
-    level; alpha is its complement), delimiter, periods.
+    Documented keys: min_obs, confidence (the VaR level; alpha is its
+    complement), delimiter, periods.
     """
     values: dict[str, str] = {}
     try:
@@ -239,8 +234,6 @@ def config_from_sources(
             raise ConfigError(
                 f"min_obs must be an integer, got {file_values['min_obs']!r}"
             ) from None
-    if "window" in file_values:
-        kwargs["window"] = file_values["window"]
     if "delimiter" in file_values:
         kwargs["delimiter"] = file_values["delimiter"]
     if "periods" in file_values:
@@ -332,7 +325,7 @@ def build_networks(
     (label, reason) for every degenerate window left out."""
     networks: list[RiskNetwork] = []
     skipped: list[tuple[str, str]] = []
-    for window in window_panel(panel, config.scheme):
+    for window in window_panel(panel, config.min_obs):
         if window.degenerate:
             reason = f"degenerate window ({window.n_firms} eligible firms)"
             log.warning("skipping %s: %s", window.label, reason)
@@ -538,9 +531,6 @@ def _write_csv(target: IO[str], header: Sequence[str], rows: Iterable[tuple]) ->
 
 
 def report_to_dict(report: RobustnessReport) -> dict:
-    def number(x: float):
-        return "inf" if math.isinf(x) else x
-
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "window_id": report.window_id,
@@ -548,12 +538,12 @@ def report_to_dict(report: RobustnessReport) -> dict:
         "firms": list(report.firms),
         "component_note": report.component_note,
         "density": report.density,
-        "kirchhoff": number(report.kirchhoff),
-        "normalized_kirchhoff": number(report.normalized_kirchhoff),
+        "kirchhoff": report.kirchhoff,
+        "normalized_kirchhoff": report.normalized_kirchhoff,
         "vertices": [
             {
                 "firm": firm,
-                "werc": number(w),
+                "werc": "inf" if w == math.inf else w,
                 "clustering": c,
                 "strength": s,
                 "surviving_order": survivor,
@@ -612,55 +602,50 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
     target.write("\n")
 
 
-def _window_files(directory: Path) -> list[Path]:
+def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
+    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k."""
+    directory = Path(out_dir) / sub
+    if not directory.is_dir():
+        raise NetworkFormatError(f"no {sub} directory under {out_dir}")
     found = []
     for path in directory.glob("window_*.json"):
         suffix = path.stem.split("_", 1)[1]
         if suffix.isdigit():
             found.append((int(suffix), path))
-    return [path for _, path in sorted(found)]
+    if not found:
+        # "reports" -> "no report files"
+        raise NetworkFormatError(f"no {sub[:-1]} files in {directory}")
+    return tuple(read_json(path, parse) for _, path in sorted(found))
 
 
 def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
-    directory = Path(out_dir) / "reports"
-    if not directory.is_dir():
-        raise NetworkFormatError(f"no reports directory under {out_dir}")
-    reports = tuple(read_json(p, report_from_dict) for p in _window_files(directory))
-    if not reports:
-        raise NetworkFormatError(f"no report files in {directory}")
-    return reports
+    return _read_windows(out_dir, "reports", report_from_dict)
 
 
 def read_networks(out_dir: str | Path) -> tuple[RiskNetwork, ...]:
-    directory = Path(out_dir) / "networks"
-    if not directory.is_dir():
-        raise NetworkFormatError(f"no networks directory under {out_dir}")
-    networks = tuple(read_network(path) for path in _window_files(directory))
-    if not networks:
-        raise NetworkFormatError(f"no network files in {directory}")
-    return networks
+    return _read_windows(out_dir, "networks", network_from_dict)
 
 
-def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
-    directory = Path(out_dir) / "networks"
+def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
+    """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``."""
+    directory = Path(out_dir) / sub
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for net in networks:
-        path = directory / f"window_{net.window_id}.json"
-        write_network(net, path)
+    for item in items:
+        path = directory / f"window_{item.window_id}.json"
+        write(item, path)
         paths.append(path)
     return paths
+
+
+# The writers are passed at call time, not bound as defaults, so a wrapper
+# set on this module's ``write_network`` or ``write_report`` sees every call.
+def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
+    return _write_windows(networks, out_dir, "networks", write_network)
 
 
 def write_reports(reports: Sequence[RobustnessReport], out_dir: str | Path) -> list[Path]:
-    directory = Path(out_dir) / "reports"
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for report in reports:
-        path = directory / f"window_{report.window_id}.json"
-        write_report(report, path)
-        paths.append(path)
-    return paths
+    return _write_windows(reports, out_dir, "reports", write_report)
 
 
 def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> list[Path]:

@@ -113,11 +113,30 @@ class RobustnessReport:
     surviving_order: tuple[int | None, ...]
 
     def __post_init__(self) -> None:
+        """Refuse what no analyzed window yields: NaN, a non-finite density,
+        Kirchhoff index, clustering or strength, and a removal impact that
+        is -inf or disagrees with its surviving order (an integer exactly
+        where the impact is +inf)."""
         values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
         if any(math.isnan(v) for v in values):
             raise NumericalError(
                 f"window {self.label}: NaN in Kirchhoff index or removal impacts"
             )
+        finite = (
+            self.density, self.kirchhoff, self.normalized_kirchhoff,
+            *self.clustering, *self.strength,
+        )
+        if not all(map(math.isfinite, finite)):
+            raise NumericalError(
+                f"window {self.label}: non-finite density, Kirchhoff index, "
+                "clustering or strength"
+            )
+        for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
+            if impact == -math.inf or (impact == math.inf) != isinstance(order, int):
+                raise NumericalError(
+                    f"window {self.label}: firm {firm} has removal impact {impact} "
+                    f"with surviving order {order}"
+                )
 
 
 def weighted_laplacian(net: RiskNetwork) -> np.ndarray:

@@ -29,6 +29,10 @@ from .panel import ReturnPanel, panel_from_rows
 
 __all__ = ["generate_panel", "month_span", "weekday_dates"]
 
+N_SECTORS = 4
+STRESS_BOOST = 2.5  # common-factor loading multiplier inside the regime
+SCALE = 0.01  # daily return units per factor-model unit
+
 
 def month_span(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
     """All (year, month) pairs from start to end inclusive."""
@@ -66,11 +70,8 @@ def generate_panel(
     end: tuple[int, int] = (2015, 12),
     *,
     seed: int = 20,
-    n_sectors: int = 4,
     stress: tuple[tuple[int, int], tuple[int, int]] | None = ((2008, 1), (2009, 6)),
     n_fragile: int = 60,
-    stress_boost: float = 2.5,
-    scale: float = 0.01,
 ) -> ReturnPanel:
     """Build the factor panel described in the module docstring.
 
@@ -84,8 +85,8 @@ def generate_panel(
     dates = weekday_dates(start, end)
     t = len(dates)
 
-    sector_of = np.arange(n_firms) % n_sectors
-    sector_factors = rng.standard_t(df=5, size=(t, n_sectors))
+    sector_of = np.arange(n_firms) % N_SECTORS
+    sector_factors = rng.standard_t(df=5, size=(t, N_SECTORS))
     common_factor = rng.standard_t(df=3, size=t)
     idio = rng.normal(size=(t, n_firms))
 
@@ -105,7 +106,7 @@ def generate_panel(
         candidates = rng.permutation(np.arange(1, n_firms))
         fragile[candidates[:n_fragile]] = True
 
-    boost = np.where(in_stress, stress_boost, 1.0)[:, None]
+    boost = np.where(in_stress, STRESS_BOOST, 1.0)[:, None]
     values = (
         sector_factors[:, sector_of] * sector_load[None, :]
         + boost * common_factor[:, None] * common_load[None, :]
@@ -116,7 +117,7 @@ def generate_panel(
         + boost[:, 0] * common_factor * common_load[0]
         + idio[:, 0]
     )
-    values *= scale
+    values *= SCALE
 
     mask = np.ones((t, n_firms), dtype=bool)
     if stress is not None and fragile.any():

@@ -1,10 +1,11 @@
 """Calendar windowing of return panels.
 
-Panels are cut into calendar-month windows indexed t = 1..T in date order.
-A firm is eligible in a window when it has at least ``min_obs`` observed
-days there; a window with fewer than two eligible firms is kept (so the
-windows still partition the panel's dates) but flagged degenerate and
-skipped by downstream stages.
+The study builds one network per calendar month, so that is the only
+windowing: panels are cut into calendar-month windows indexed t = 1..T in
+date order. A firm is eligible in a window when it has at least
+``min_obs`` observed days there (15 by default); a window with fewer than
+two eligible firms is kept (so the windows still partition the panel's
+dates) but flagged degenerate and skipped by downstream stages.
 
 Missing days inside a window are never imputed: univariate statistics use
 each firm's own observed days, pair statistics use the intersection of the
@@ -20,30 +21,7 @@ import numpy as np
 from .errors import WindowError
 from .panel import ReturnPanel
 
-__all__ = ["WindowScheme", "WindowSlice", "window_panel"]
-
-_SCHEME_KINDS = ("calendar_month",)
-
-
-@dataclass(frozen=True)
-class WindowScheme:
-    """How to cut a panel into windows.
-
-    ``kind`` currently must be ``"calendar_month"``; ``min_obs`` is the
-    minimum number of observed days a firm needs inside a window to be
-    eligible there.
-    """
-
-    kind: str = "calendar_month"
-    min_obs: int = 15
-
-    def __post_init__(self) -> None:
-        if self.kind not in _SCHEME_KINDS:
-            raise WindowError(
-                f"unknown window scheme {self.kind!r}; expected one of {_SCHEME_KINDS}"
-            )
-        if self.min_obs < 1:
-            raise WindowError(f"min_obs must be positive, got {self.min_obs}")
+__all__ = ["WindowSlice", "window_panel"]
 
 
 @dataclass(frozen=True)
@@ -78,14 +56,16 @@ class WindowSlice:
         return len(self.firms)
 
 
-def window_panel(panel: ReturnPanel, scheme: WindowScheme) -> list[WindowSlice]:
+def window_panel(panel: ReturnPanel, min_obs: int = 15) -> list[WindowSlice]:
     """Cut ``panel`` into calendar-month slices.
 
     Every month between the panel's first and last date yields one slice
     (in date order, window_id starting at 1), so the slices partition the
     panel's dates. Months with fewer than two eligible firms come back
-    flagged degenerate.
+    flagged degenerate. A ``min_obs`` below 1 raises :class:`WindowError`.
     """
+    if min_obs < 1:
+        raise WindowError(f"min_obs must be positive, got {min_obs}")
     month_keys = [(d.year, d.month) for d in panel.dates]
     slices: list[WindowSlice] = []
     order: list[tuple[int, int]] = []
@@ -100,7 +80,7 @@ def window_panel(panel: ReturnPanel, scheme: WindowScheme) -> list[WindowSlice]:
         rows = np.array(groups[key], dtype=int)
         sub_mask = panel.mask[rows, :]
         counts = sub_mask.sum(axis=0)
-        eligible = np.flatnonzero(counts >= scheme.min_obs)
+        eligible = np.flatnonzero(counts >= min_obs)
         label = f"{key[0]:04d}-{key[1]:02d}"
         firms = tuple(panel.firms[j] for j in eligible)
         returns = panel.returns[np.ix_(rows, eligible)].copy()
@@ -113,7 +93,7 @@ def window_panel(panel: ReturnPanel, scheme: WindowScheme) -> list[WindowSlice]:
                 firms=firms,
                 returns=returns,
                 mask=mask,
-                min_obs=scheme.min_obs,
+                min_obs=min_obs,
                 degenerate=len(firms) < 2,
             )
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,74 @@ def test_missing_saved_report_key_names_the_file(panel_csv, tmp_path, capsys):
     assert error["error"] == "NetworkFormatError"
     assert error["message"].startswith(f"{target}: ")
     assert "kirchhoff" in error["message"]
+
+
+def infinite_werc_without_order(payload):
+    payload["vertices"][0].update(werc="inf", surviving_order=None)
+
+
+def infinite_kirchhoff(payload):
+    payload["kirchhoff"] = "inf"
+
+
+def nan_density_and_clustering(payload):
+    payload["density"] = math.nan
+    payload["vertices"][-1]["clustering"] = math.nan
+
+
+@pytest.mark.parametrize(
+    "edit", [infinite_werc_without_order, infinite_kirchhoff, nan_density_and_clustering]
+)
+@pytest.mark.parametrize("command", ["rank", "export-charts"])
+def test_inconsistent_saved_report_is_refused(panel_csv, tmp_path, capsys, edit, command):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / "reports").glob("window_*.json"))[-1]
+    payload = json.loads(target.read_text())
+    edit(payload)
+    target.write_text(json.dumps(payload))  # NaN goes out as the JSON token NaN
+    error = single_error(capsys, [command, "--out", str(out)])
+    assert error["error"] == "NumericalError"
+    assert error["message"].startswith(f"{target}: ")
+    assert not list(out.rglob("*.svg"))
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["rank", "--out", "o", "--alpha", "0.01"], "--alpha"),
+        (["rank", "--out", "o", "--min-obs", "5"], "--min-obs"),
+        (["export-charts", "--out", "o", "--alpha", "0.01"], "--alpha"),
+        (["export-charts", "--out", "o", "--min-obs", "5"], "--min-obs"),
+        (["build", "--input", "x.csv", "--out", "o", "--periods", "A=2007-01..2007-02"],
+         "--periods"),
+        (["analyze", "--input", "x.csv", "--out", "o", "--bogus"], "--bogus"),
+        (["rank"], "--out"),
+    ],
+)
+def test_usage_error_is_one_json_line(capsys, argv, named):
+    error = single_error(capsys, argv)
+    assert error["error"] == "ConfigError"
+    assert named in error["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["rank", "-h"])
+    assert stop.value.code == 0
+    assert "--periods" in capsys.readouterr().out
+
+
+def test_config_window_key_is_refused(panel_csv, tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("window = calendar_month\n")
+    error = single_error(
+        capsys,
+        ["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "o"),
+         "--config", str(cfg)],
+    )
+    assert error["error"] == "ConfigError"
+    assert "'window'" in error["message"]
 
 
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):

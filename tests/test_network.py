@@ -34,7 +34,7 @@ from risknet.network import (
     write_network,
 )
 from risknet.panel import panel_from_rows
-from risknet.windows import WindowScheme, WindowSlice, window_panel
+from risknet.windows import WindowSlice, window_panel
 
 
 def month_slice(values, mask=None, min_obs=15):
@@ -42,7 +42,7 @@ def month_slice(values, mask=None, min_obs=15):
     dates = [dt.date(2005, 3, 1) + dt.timedelta(days=i) for i in range(t)]
     firms = [f"F{j:02d}" for j in range(n)]
     panel = panel_from_rows(dates, firms, values, mask)
-    slices = window_panel(panel, WindowScheme(min_obs=min_obs))
+    slices = window_panel(panel, min_obs=min_obs)
     assert len(slices) == 1
     return slices[0]
 

@@ -38,7 +38,7 @@ from risknet.pipeline import (
 )
 from risknet.spectral import RobustnessReport
 from risknet.synthetic import generate_panel, weekday_dates
-from risknet.windows import WindowScheme, window_panel
+from risknet.windows import window_panel
 
 
 def small_study(**kwargs):
@@ -115,7 +115,6 @@ def test_config_file_parsing_and_precedence(tmp_path):
         "# comment\n"
         "min_obs = 12\n"
         "confidence = 0.90\n"
-        "window = calendar_month\n"
     )
     values = load_config_file(cfg)
     config = config_from_sources(values)
@@ -236,6 +235,26 @@ def test_report_with_nan_werc_is_refused():
         dataclasses.replace(report, werc=(math.nan, *report.werc[1:]))
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(density=math.inf),
+        dict(kirchhoff=math.inf),
+        dict(normalized_kirchhoff=-math.inf),
+        dict(clustering=(0.5, math.nan, 0.5)),
+        dict(strength=(1.0, 1.0, math.inf)),
+        dict(werc=(-math.inf, 0.25, 0.1)),
+        dict(werc=(math.inf, 0.25, 0.1)),
+        dict(surviving_order=(None, 2, None)),
+    ],
+    ids=str,
+)
+def test_report_with_inconsistent_values_is_refused(change):
+    report = fake_report(3, "2001-03", ("A", "B", "C"), (0.5, 0.25, 0.1))
+    with pytest.raises(NumericalError, match="window 2001-03: "):
+        dataclasses.replace(report, **change)
+
+
 def test_nan_report_refused_and_window_skipped(monkeypatch, tmp_path):
     real = pipeline.werc_all
 
@@ -278,7 +297,7 @@ def test_short_month_gives_zero_network_and_is_skipped():
     common = rng.standard_t(df=4, size=(len(dates), 1))
     values = 0.02 * (common + rng.standard_t(df=4, size=(len(dates), len(firms))))
     panel = panel_from_rows(dates, firms, values)
-    january, february = window_panel(panel, WindowScheme())
+    january, february = window_panel(panel)
     assert (january.n_days, february.n_days) == (20, 19)
 
     built = build_directed(february, 0.05)

@@ -27,7 +27,7 @@ from risknet.spectral import (
     werc_all,
 )
 from risknet.synthetic import generate_panel
-from risknet.windows import WindowScheme, window_panel
+from risknet.windows import window_panel
 
 
 def kirchhoff_of(net):
@@ -97,7 +97,7 @@ def test_oracle_keeps_digits_when_zero_eigenvalue_sits_high():
     # well above 1e-15 of the largest; a cutoff-based pseudo-inverse kept
     # it and lost the sum's digits (332.4468 against 332.4590)
     panel = generate_panel(120, (2005, 1), (2005, 12), seed=303, n_fragile=60)
-    windows = {w.label: w for w in window_panel(panel, WindowScheme())}
+    windows = {w.label: w for w in window_panel(panel)}
     net = symmetrize(build_directed(windows["2005-02"], 0.05))
     keep = [i for i, firm in enumerate(net.firms) if firm != "F050"]
     reduced = from_weights(net.weights[np.ix_(keep, keep)])

@@ -9,7 +9,7 @@ import pytest
 
 from risknet.errors import WindowError
 from risknet.panel import panel_from_rows
-from risknet.windows import WindowScheme, window_panel
+from risknet.windows import window_panel
 
 
 def weekdays(start: dt.date, end: dt.date) -> list[dt.date]:
@@ -36,7 +36,7 @@ def make_panel(start, end, n_firms, missing=None, seed=0):
 
 def test_fifteen_years_of_months_gives_180_slices():
     panel = make_panel(dt.date(2001, 1, 1), dt.date(2015, 12, 31), 3)
-    slices = window_panel(panel, WindowScheme())
+    slices = window_panel(panel)
     assert len(slices) == 180
     assert slices[0].label == "2001-01"
     assert slices[-1].label == "2015-12"
@@ -45,14 +45,14 @@ def test_fifteen_years_of_months_gives_180_slices():
 
 def test_windows_partition_the_panel_dates():
     panel = make_panel(dt.date(2004, 3, 1), dt.date(2004, 7, 31), 4)
-    slices = window_panel(panel, WindowScheme())
+    slices = window_panel(panel)
     covered = [d for s in slices for d in s.dates]
     assert covered == list(panel.dates)
 
 
 def test_two_month_panel_preserves_firm_union():
     panel = make_panel(dt.date(2010, 1, 1), dt.date(2010, 2, 28), 5)
-    slices = window_panel(panel, WindowScheme())
+    slices = window_panel(panel)
     assert len(slices) == 2
     union = set()
     for s in slices:
@@ -69,7 +69,7 @@ def test_firm_below_min_obs_dropped_from_that_window_only():
     panel = make_panel(
         dt.date(2001, 1, 1), dt.date(2001, 2, 28), 3, missing=missing
     )
-    slices = window_panel(panel, WindowScheme(min_obs=15))
+    slices = window_panel(panel, min_obs=15)
     assert "F001" not in slices[0].firms
     assert "F001" in slices[1].firms
     # every kept firm meets the eligibility floor
@@ -90,8 +90,8 @@ def test_lower_min_obs_never_shrinks_eligibility():
         seed=3,
     )
     for strict, loose in [(20, 15), (15, 10), (10, 1)]:
-        strict_slices = window_panel(panel, WindowScheme(min_obs=strict))
-        loose_slices = window_panel(panel, WindowScheme(min_obs=loose))
+        strict_slices = window_panel(panel, min_obs=strict)
+        loose_slices = window_panel(panel, min_obs=loose)
         for a, b in zip(strict_slices, loose_slices):
             assert set(a.firms) <= set(b.firms)
 
@@ -106,7 +106,7 @@ def test_degenerate_window_flagged_not_dropped():
         2,
         missing=[(t, 0) for t in jan_rows],
     )
-    slices = window_panel(panel, WindowScheme())
+    slices = window_panel(panel)
     assert len(slices) == 2
     assert slices[0].degenerate
     assert slices[0].firms == ("F001",)
@@ -114,8 +114,7 @@ def test_degenerate_window_flagged_not_dropped():
 
 
 def test_bad_scheme_rejected():
-    with pytest.raises(WindowError, match="unknown window scheme"):
-        WindowScheme(kind="rolling")
+    panel = make_panel(dt.date(2001, 1, 1), dt.date(2001, 1, 31), 2)
     with pytest.raises(WindowError, match="min_obs"):
-        WindowScheme(min_obs=0)
+        window_panel(panel, min_obs=0)
 
