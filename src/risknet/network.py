@@ -127,12 +127,15 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
 
     Works from ``window.mask``; a fully observed window is the case of an
     all-true mask. Each firm's mean and expected shortfall (ES) come from
-    its own observed days. For each source j, the days every target shares
-    with j are walked in the order of j's returns (one sort of j per
-    window), which gives the k-th order statistic of j on every pair's
-    common days at once, k = max(1, floor(alpha * common days)). The pair's
-    tail is the common days at or below it, ties included, the target's
-    MES is minus its mean return over that tail, and the weight is
+    its own observed days, and every pair's count of common days from one
+    product of the mask with itself. Sources are taken in blocks of at
+    most ``_BLOCK_BYTES`` of days x sources x targets arrays. Each source's
+    days are walked in the order of its returns (one sort per firm and
+    window); a running count of every target's observed days gives the
+    source's k-th order statistic on each pair's common days at once,
+    k = max(1, floor(alpha * common days)). The pair's tail is the common
+    days at or below it, ties included, the target's MES is minus its mean
+    return over that tail, summed in day order, and the weight is
     1 - clip((ES - MES) / (mean + ES), 0, 1).
 
     Weights are zero, with a diagnostic, for pairs with fewer than
@@ -152,7 +155,7 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
     # in an order that depends on the layout, and the last bit with it
     mask = np.ascontiguousarray(window.mask)
     r = np.ascontiguousarray(np.where(mask, window.returns, 0.0))
-    n = r.shape[1]
+    t, n = r.shape
     needed = math.ceil(1.0 / alpha)
     floor = max(window.min_obs, needed)
     diags: list[Diagnostic] = []
@@ -187,33 +190,47 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
             )
         )
 
-    matrix = np.zeros((n, n))
-    for j in range(n):
-        common = mask & mask[:, j : j + 1]
-        n_common = common.sum(axis=0)
-        for i in np.flatnonzero(n_common[j + 1 :] < floor) + j + 1:
-            diags.append(
-                Diagnostic(
-                    "short_overlap",
-                    firms[j],
-                    firms[i],
-                    f"{n_common[i]} common days, need {floor}",
-                )
+    # counts of at most t days: exact in floating point
+    observed = mask.astype(float)
+    n_common = (observed.T @ observed).astype(int)
+    short = n_common < floor
+    lower, upper = np.nonzero(np.triu(short, 1))
+    for j, i, days in zip(lower.tolist(), upper.tolist(), n_common[lower, upper].tolist()):
+        diags.append(
+            Diagnostic(
+                "short_overlap", firms[j], firms[i], f"{days} common days, need {floor}"
             )
-        # a firm with fewer than ceil(1/alpha) days has no pair reaching the
-        # floor, so the floor also keeps inestimable firms out
-        live = (n_common >= floor) & ~degenerate
-        live[j] = False
-        if not live.any():
-            continue
-        k = np.maximum(1, np.floor(alpha * n_common).astype(int))
-        reached = np.cumsum(common[order[:, j]], axis=0) >= k
-        q = ranked[reached.argmax(axis=0), j]
-        tail = common & (r[:, j : j + 1] <= q)
+        )
+    # a firm with fewer than ceil(1/alpha) days has no pair reaching the
+    # floor, so the floor also keeps inestimable firms out
+    live = ~short & ~degenerate
+    np.fill_diagonal(live, False)
+    # running counts of at most t days, in the smallest type that holds t
+    count = np.min_scalar_type(t)
+    k = np.maximum(1, np.floor(alpha * n_common)).astype(count)
+
+    matrix = np.zeros((n, n))
+    sources = np.flatnonzero(live.any(axis=1))
+    step = max(1, _BLOCK_BYTES // (8 * t * n))
+    for start in range(0, sources.size, step):
+        block = sources[start : start + step]
+        # common[d, b, i]: day d observed for source block[b] and target i
+        common = mask[:, None, :] & mask[:, block, None]
+        # each target's observed days counted in the order of each source's
+        # returns; the source's own days come first, and among them the
+        # k-th common day, after the days counted fewer than k times. Only
+        # a target with fewer than k observed days in all, never live,
+        # runs off the end.
+        seen = mask[order[:, block]].astype(count)
+        for d in range(1, t):  # one add per day: np.cumsum here is ten times slower
+            seen[d] += seen[d - 1]
+        at = np.minimum((seen < k[block]).sum(axis=0, dtype=count), t - 1)
+        q = ranked[at, block[:, None]]
+        tail = common & (r[:, block, None] <= q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            mes = -((r * tail).sum(axis=0) / tail.sum(axis=0))
+            mes = -((r[:, None, :] * tail).sum(axis=0) / tail.sum(axis=0, dtype=count))
             raw = (es - mes) / spread
-        matrix[j, live] = 1.0 - np.clip(raw[live], 0.0, 1.0)
+        matrix[block] = np.where(live[block], 1.0 - np.clip(raw, 0.0, 1.0), 0.0)
     return DirectedWeights(
         window_id=window.window_id,
         label=window.label,
@@ -221,6 +238,11 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
         matrix=matrix,
         diagnostics=tuple(diags),
     )
+
+
+# Bytes of one block's days x sources x targets float array: a fixed
+# budget, so peak memory does not grow with the number of firms.
+_BLOCK_BYTES = 1 << 19
 
 
 def symmetrize(directed: DirectedWeights) -> RiskNetwork:
@@ -249,25 +271,30 @@ def density(net: RiskNetwork) -> float:
     return net.m / math.comb(net.n, 2)
 
 
-def network_to_dict(net: RiskNetwork) -> dict:
-    """JSON-ready form: firms plus the positive upper-triangle edges, as
-    ``[i, j, weight]`` lists of Python ints and floats in row-major order
-    (i < j)."""
-    rows, cols = np.triu_indices(net.n, k=1)
-    values = net.weights[rows, cols]
-    live = values > 0.0
-    edges = [
-        [i, j, w]
-        for i, j, w in zip(rows[live].tolist(), cols[live].tolist(), values[live].tolist())
-    ]
+def _header(net: RiskNetwork) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "window_id": net.window_id,
         "label": net.label,
         "n": net.n,
         "firms": list(net.firms),
-        "edges": edges,
     }
+
+
+def _edges(net: RiskNetwork) -> tuple[list[int], list[int], list[float]]:
+    """Rows, columns and weights of the positive upper-triangle edges, as
+    Python ints and floats in row-major order (i < j)."""
+    rows, cols = np.triu_indices(net.n, k=1)
+    values = net.weights[rows, cols]
+    live = values > 0.0
+    return rows[live].tolist(), cols[live].tolist(), values[live].tolist()
+
+
+def network_to_dict(net: RiskNetwork) -> dict:
+    """JSON-ready form: firms plus the positive upper-triangle edges, as
+    ``[i, j, weight]`` lists of Python ints and floats in row-major order
+    (i < j)."""
+    return {**_header(net), "edges": [list(edge) for edge in zip(*_edges(net))]}
 
 
 def network_from_dict(payload: dict) -> RiskNetwork:
@@ -347,25 +374,24 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, cols, weights
 
 
-# One edge in the layout ``json.dump(..., indent=2)`` gives it; ``%r`` of a
-# Python int or float is what the json module writes for it.
-_EDGE = "    [\n      %r,\n      %r,\n      %r\n    ]"
-
-
 def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
     """Write ``network_to_dict(net)`` as ``json.dump(..., indent=2)`` plus a
     newline would, byte for byte, without running the json module's
     pure-Python encoder on the edges: only the header goes through
-    ``json.dumps``, and each edge is rendered from a fixed template."""
+    ``json.dumps``, and each edge is rendered from a fixed template, where
+    ``repr`` of a Python int or float is what the json module writes."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             write_network(net, handle)
         return
-    payload = network_to_dict(net)
-    edges = payload.pop("edges")
-    head = json.dumps(payload, indent=2)[: -len("\n}")]
-    if edges:
-        body = "[\n" + ",\n".join(_EDGE % tuple(e) for e in edges) + "\n  ]"
+    head = json.dumps(_header(net), indent=2)[: -len("\n}")]
+    rows, cols, values = _edges(net)
+    if rows:
+        body = ",\n".join(
+            f"    [\n      {i},\n      {j},\n      {w!r}\n    ]"
+            for i, j, w in zip(rows, cols, values)
+        )
+        body = f"[\n{body}\n  ]"
     else:
         body = "[]"
     target.write(f'{head},\n  "edges": {body}\n}}\n')

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -85,14 +86,42 @@ def _parse_cell(text: str, row: int, firm: str) -> float:
     return value
 
 
+# An empty cell is missing, read as the text "nan"; _parse_row tells the
+# two apart by counting a row's empty cells.
+_EMPTY_AS_NAN = {"": "nan"}
+
+
+def _parse_row(cells: list[str]) -> list[float] | None:
+    """The row's values, NaN for its empty cells, in one ``float`` pass;
+    None when :func:`_parse_cell` must go through it: a cell that is
+    whitespace only, not a number, or NaN or infinite text.
+
+    ``float`` strips the same whitespace as ``str.strip``.
+    """
+    try:
+        values = list(map(float, map(_EMPTY_AS_NAN.get, cells, cells)))
+    except ValueError:
+        return None
+    # a sum that is not finite comes from an empty cell, NaN or infinite
+    # text, or finite values whose sum overflows
+    if not math.isfinite(sum(values)):
+        row = np.array(values)
+        if np.isinf(row).any() or np.isnan(row).sum() != cells.count(""):
+            return None
+    return values
+
+
 def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> ReturnPanel:
     """Parse a delimited return table into a :class:`ReturnPanel`.
 
     ``source`` may be a path or an open text stream. The first row is a
     required header ("date" plus one firm identifier per column); data rows
     carry an ISO date followed by returns, with empty cells meaning missing.
-    Rows are sorted by date. Parse errors name the 1-based file row and the
-    column involved.
+    Rows are sorted by date. Each row's cells are parsed in one ``float``
+    pass; only a row where that fails or yields NaN or infinite text (see
+    :func:`_parse_row`) is parsed again cell by cell, so parse errors name
+    the 1-based file row, the column involved and the cell's text, and the
+    first bad row in the file is the one named.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -118,7 +147,7 @@ def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> Retur
     rows: list[tuple[dt.date, list[float]]] = []
     seen: dict[dt.date, int] = {}
     for row_no, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
+        if not "".join(record).strip():
             continue
         if len(record) != len(firms) + 1:
             raise PanelFormatError(
@@ -137,10 +166,12 @@ def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> Retur
                 f"(first seen at row {seen[date]})"
             )
         seen[date] = row_no
-        values = [
-            _parse_cell(cell, row_no, firms[col])
-            for col, cell in enumerate(record[1:])
-        ]
+        values = _parse_row(record[1:])
+        if values is None:
+            values = [
+                _parse_cell(cell, row_no, firms[col])
+                for col, cell in enumerate(record[1:])
+            ]
         rows.append((date, values))
 
     if not rows:

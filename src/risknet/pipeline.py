@@ -530,7 +530,7 @@ def _write_csv(target: IO[str], header: Sequence[str], rows: Iterable[tuple]) ->
         writer.writerow([_csv_cell(cell) for cell in row])
 
 
-def report_to_dict(report: RobustnessReport) -> dict:
+def _report_header(report: RobustnessReport) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "window_id": report.window_id,
@@ -540,6 +540,12 @@ def report_to_dict(report: RobustnessReport) -> dict:
         "density": report.density,
         "kirchhoff": report.kirchhoff,
         "normalized_kirchhoff": report.normalized_kirchhoff,
+    }
+
+
+def report_to_dict(report: RobustnessReport) -> dict:
+    return {
+        **_report_header(report),
         "vertices": [
             {
                 "firm": firm,
@@ -560,12 +566,27 @@ def report_to_dict(report: RobustnessReport) -> dict:
 
 
 def report_from_dict(payload: dict) -> RobustnessReport:
-    def number(x) -> float:
-        if x == "inf":
+    """Inverse of :func:`report_to_dict`, with schema validation.
+
+    Numbers must be JSON numbers: a bool, or a string such as "0.03", is
+    refused, not coerced. ``werc`` and the Kirchhoff indices may also be
+    "inf". ``window_id`` and every surviving order must be integers (2.7 is
+    refused, not truncated); a surviving order may also be null.
+    """
+
+    def number(key: str, x, *, inf: bool = False) -> float:
+        if inf and x == "inf":
             return math.inf
-        if isinstance(x, (int, float)):
+        if type(x) in (int, float):
             return float(x)
-        raise NetworkFormatError(f"expected a number or 'inf', got {x!r}")
+        wanted = "a number or 'inf'" if inf else "a number"
+        raise NetworkFormatError(f"{key} must be {wanted}, got {x!r}")
+
+    def integer(key: str, x, *, null: bool = False) -> int | None:
+        if type(x) is int or (null and x is None):
+            return x
+        wanted = "an integer or null" if null else "an integer"
+        raise NetworkFormatError(f"{key} must be {wanted}, got {x!r}")
 
     try:
         version = payload["schema_version"]
@@ -573,33 +594,65 @@ def report_from_dict(payload: dict) -> RobustnessReport:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
         vertices = payload["vertices"]
         return RobustnessReport(
-            window_id=int(payload["window_id"]),
+            window_id=integer("window_id", payload["window_id"]),
             label=str(payload["label"]),
             firms=tuple(str(f) for f in payload["firms"]),
             analyzed_firms=tuple(str(v["firm"]) for v in vertices),
             component_note=payload["component_note"],
-            density=float(payload["density"]),
-            kirchhoff=number(payload["kirchhoff"]),
-            normalized_kirchhoff=number(payload["normalized_kirchhoff"]),
-            werc=tuple(number(v["werc"]) for v in vertices),
-            clustering=tuple(float(v["clustering"]) for v in vertices),
-            strength=tuple(float(v["strength"]) for v in vertices),
+            density=number("density", payload["density"]),
+            kirchhoff=number("kirchhoff", payload["kirchhoff"], inf=True),
+            normalized_kirchhoff=number(
+                "normalized_kirchhoff", payload["normalized_kirchhoff"], inf=True
+            ),
+            werc=tuple(number("werc", v["werc"], inf=True) for v in vertices),
+            clustering=tuple(number("clustering", v["clustering"]) for v in vertices),
+            strength=tuple(number("strength", v["strength"]) for v in vertices),
             surviving_order=tuple(
-                None if v["surviving_order"] is None else int(v["surviving_order"])
+                integer("surviving_order", v["surviving_order"], null=True)
                 for v in vertices
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NetworkFormatError(f"bad report payload: {exc}") from None
 
 
+# One vertex in the layout ``json.dump(..., indent=2)`` gives it.
+_VERTEX = (
+    '    {{\n      "firm": {},\n      "werc": {},\n      "clustering": {},\n'
+    '      "strength": {},\n      "surviving_order": {}\n    }}'
+)
+
+
+def _json_items(values: Iterable) -> list[str]:
+    """The JSON text of each of ``values`` (numbers, null or "inf"), as
+    ``json.dumps(..., allow_nan=False)`` writes it, from one call of the
+    json module's C encoder: no such text holds ", ". A NaN or infinite
+    float raises ``ValueError``."""
+    return json.dumps(list(values), allow_nan=False)[1:-1].split(", ")
+
+
 def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None:
+    """Write ``report_to_dict(report)`` as ``json.dump(..., indent=2,
+    allow_nan=False)`` plus a newline would, byte for byte, without running
+    the json module's pure-Python encoder on the vertices: the header goes
+    through ``json.dumps``, and each vertex is rendered from a fixed
+    template, its firm by json's own string encoder and its values a
+    column at a time by :func:`_json_items`. A NaN or infinite float,
+    other than an infinite removal impact, raises ``ValueError``."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
             write_report(report, handle)
         return
-    json.dump(report_to_dict(report), target, indent=2, allow_nan=False)
-    target.write("\n")
+    head = json.dumps(_report_header(report), indent=2, allow_nan=False)[: -len("\n}")]
+    if report.analyzed_firms:
+        werc = ["inf" if w == math.inf else w for w in report.werc]
+        columns = (werc, report.clustering, report.strength, report.surviving_order)
+        firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
+        body = ",\n".join(map(_VERTEX.format, firms, *map(_json_items, columns)))
+        body = f"[\n{body}\n  ]"
+    else:
+        body = "[]"
+    target.write(f'{head},\n  "vertices": {body}\n}}\n')
 
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:

@@ -115,8 +115,8 @@ class RobustnessReport:
     def __post_init__(self) -> None:
         """Refuse what no analyzed window yields: NaN, a non-finite density,
         Kirchhoff index, clustering or strength, and a removal impact that
-        is -inf or disagrees with its surviving order (an integer exactly
-        where the impact is +inf)."""
+        is -inf or disagrees with its surviving order (an integer, not a
+        bool, exactly where the impact is +inf)."""
         values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
         if any(math.isnan(v) for v in values):
             raise NumericalError(
@@ -132,7 +132,7 @@ class RobustnessReport:
                 "clustering or strength"
             )
         for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
-            if impact == -math.inf or (impact == math.inf) != isinstance(order, int):
+            if impact == -math.inf or (impact == math.inf) != (type(order) is int):
                 raise NumericalError(
                     f"window {self.label}: firm {firm} has removal impact {impact} "
                     f"with surviving order {order}"

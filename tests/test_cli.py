@@ -247,6 +247,53 @@ def test_inconsistent_saved_report_is_refused(panel_csv, tmp_path, capsys, edit,
     assert not list(out.rglob("*.svg"))
 
 
+def set_vertex(key, value):
+    def edit(payload):
+        payload["vertices"][0][key] = value
+
+    return edit
+
+
+def set_field(key, value):
+    def edit(payload):
+        payload[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    [
+        # int() would truncate the first and read the second as 1
+        (set_vertex("surviving_order", 2.7), "surviving_order must be an integer or null, got 2.7"),
+        (set_vertex("surviving_order", True), "must be an integer or null, got True"),
+        # float() would accept these strings and the bool
+        (set_field("density", "0.03"), "density must be a number, got '0.03'"),
+        (set_vertex("clustering", "0.5"), "clustering must be a number, got '0.5'"),
+        (set_vertex("strength", True), "strength must be a number, got True"),
+        (set_vertex("werc", False), "werc must be a number or 'inf', got False"),
+        (set_field("window_id", "3"), "window_id must be an integer, got '3'"),
+        (set_field("window_id", 3.0), "window_id must be an integer, got 3.0"),
+        (set_field("density", 10**400), "bad report payload"),
+    ],
+    ids=[
+        "order-float", "order-bool", "density-string", "clustering-string",
+        "strength-bool", "werc-bool", "window-string", "window-float", "density-huge",
+    ],
+)
+def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / "reports").glob("window_*.json"))[-1]
+    payload = json.loads(target.read_text())
+    edit(payload)
+    target.write_text(json.dumps(payload))
+    error = single_error(capsys, ["rank", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    assert error["message"].startswith(f"{target}: ")
+    assert shown in error["message"]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

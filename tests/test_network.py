@@ -8,12 +8,14 @@ import datetime as dt
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risknet import network
 from risknet.errors import (
     DegeneratePairError,
     EstimationError,
@@ -158,6 +160,76 @@ def test_build_directed_matches_per_pair_oracle_on_random_windows():
         "partly_observed",
     ):
         assert seen[case] >= 20, seen
+
+
+def wide_window(seed, n=30, t=23):
+    """A window of ``n`` firms, so sources span several blocks, with tail
+    ties (every other seed), a constant firm, scattered missing days, a
+    firm missing half the days and one below ceil(1 / alpha) days."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        values = rng.integers(-6, 7, size=(t, n)) / 64.0
+    else:
+        values = rng.standard_t(df=4, size=(t, n)) * 0.02
+    values[:, 3] = values[0, 3]
+    mask = rng.random((t, n)) >= 0.1
+    mask[: t // 2, 5] = False
+    mask[4:, 7] = False
+    return month_slice(values, mask, min_obs=8)
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.25])
+def test_block_size_does_not_change_weights_or_diagnostics(per_block, alpha, monkeypatch):
+    for seed in range(4):
+        window = wide_window(seed)
+        t, n = window.n_days, window.n_firms
+        assert network._BLOCK_BYTES // (8 * t * n) >= n  # one block by default
+        default = build_directed(window, alpha)
+        monkeypatch.setattr(network, "_BLOCK_BYTES", per_block * 8 * t * n)
+        blocked = build_directed(window, alpha)
+        monkeypatch.undo()
+        assert np.array_equal(blocked.matrix, default.matrix)
+        assert blocked.diagnostics == default.diagnostics
+        want, diagnostics, degenerate = per_pair_oracle(window, alpha)
+        assert np.allclose(blocked.matrix, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(blocked.matrix == 0.0, want == 0.0)
+        assert {d for d in blocked.diagnostics if d.kind != "degenerate_firm"} == diagnostics
+        assert sorted(
+            d.target for d in blocked.diagnostics if d.kind == "degenerate_firm"
+        ) == sorted(degenerate)
+
+
+# its mean and ES are 0 / 0, which numpy warns about
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_firm_without_an_observed_day_gets_no_weight():
+    # window_panel leaves such a firm out, but a window can be built by hand
+    window = wide_window(0)
+    mask = window.mask.copy()
+    mask[:, 9] = False
+    window = dataclasses.replace(window, mask=mask)
+    built = build_directed(window, 0.05)
+    assert not built.matrix[9].any() and not built.matrix[:, 9].any()
+    want, diagnostics, _ = per_pair_oracle(window, 0.05)
+    assert np.allclose(built.matrix, want, rtol=0.0, atol=1e-12)
+    assert {d for d in built.diagnostics if d.kind != "degenerate_firm"} == diagnostics
+
+
+def test_120_firms_over_23_days_peak_below_two_mib():
+    rng = np.random.default_rng(120)
+    values = rng.standard_t(df=4, size=(23, 120)) * 0.02
+    window = month_slice(values, rng.random((23, 120)) >= 0.02)
+    build_directed(window, 0.05)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        build_directed(window, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's days x sources x targets float array takes at most
+    # _BLOCK_BYTES (512 KiB); its boolean and count arrays and the n x n
+    # matrices less than as much again
+    assert peak <= 2 * 2**20
 
 
 def test_directed_matrix_matches_per_pair_reference():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risknet.errors import PanelFormatError
 from risknet.panel import ReturnPanel, load_returns, panel_from_rows, save_returns
@@ -138,3 +141,135 @@ def test_panel_is_read_only():
     panel = _load("date,A\n2001-01-02,0.01\n")
     with pytest.raises(ValueError):
         panel.returns[0, 0] = 1.0
+
+
+def per_cell_oracle(text: str) -> ReturnPanel:
+    """The loader one cell at a time: every cell stripped, parsed and
+    checked on its own, so each error names its row, column and text."""
+
+    def parse_cell(text: str, row: int, firm: str) -> float:
+        value_text = text.strip()
+        if not value_text:
+            return float("nan")
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise PanelFormatError(
+                f"row {row}, column {firm!r}: not a number: {text!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise PanelFormatError(
+                f"row {row}, column {firm!r}: non-finite value {text!r}"
+            )
+        return value
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty table: no header row") from None
+    if len(header) < 2:
+        raise PanelFormatError("header must list a date column and at least one firm")
+    firms = tuple(name.strip() for name in header[1:])
+    if any(not name for name in firms):
+        raise PanelFormatError("blank firm identifier in header")
+    if len(set(firms)) != len(firms):
+        dupes = sorted({f for f in firms if firms.count(f) > 1})
+        raise PanelFormatError(f"duplicate firm columns: {', '.join(dupes)}")
+    rows = []
+    seen = {}
+    for row_no, record in enumerate(reader, start=2):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        if len(record) != len(firms) + 1:
+            raise PanelFormatError(
+                f"row {row_no}: expected {len(firms) + 1} cells, got {len(record)}"
+            )
+        date_text = record[0].strip()
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            raise PanelFormatError(f"row {row_no}: malformed date {date_text!r}") from None
+        if date in seen:
+            raise PanelFormatError(
+                f"row {row_no}: duplicate date {date.isoformat()} "
+                f"(first seen at row {seen[date]})"
+            )
+        seen[date] = row_no
+        values = [parse_cell(cell, row_no, firms[col]) for col, cell in enumerate(record[1:])]
+        rows.append((date, values))
+    if not rows:
+        raise PanelFormatError("empty table: no data rows")
+    rows.sort(key=lambda item: item[0])
+    returns = np.array([values for _, values in rows], dtype=float)
+    return ReturnPanel(
+        dates=tuple(date for date, _ in rows),
+        firms=firms,
+        returns=returns,
+        mask=~np.isnan(returns),
+    )
+
+
+def mostly(common, rare, share=0.1):
+    """Draws from ``rare`` about ``share`` of the time, else from ``common``."""
+    ten = round(1 / share)
+    return st.sampled_from([common] * (ten - 1) + [rare]).flatmap(lambda s: s)
+
+
+CELLS = mostly(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["1e308", "-1e308", "1.5e308"]),  # finite, but their sum overflows
+        st.sampled_from(["", "", " ", "\t", "\u00a0\u2003"]),  # blank or whitespace only
+        st.sampled_from([" 0.25", "-0.5 ", "\t1e-3\u00a0", "\u20031.0\u2003"]),  # padded
+        st.sampled_from(["1_000", "0.0_1"]),
+        st.sampled_from(["\u0661\u0662", "\uff10.\uff15", "\u0967e-2"]),  # non-ASCII digits
+    ),
+    st.one_of(
+        st.sampled_from(["nan", "NaN", "-nan", " inf", "-Infinity", "1e999", "-1e999"]),
+        st.sampled_from(["abc", "0.1.2", "--1", "1e", "_1", "1__0", "\u00b2", "\u00e9"]),
+    ),
+)
+DATES = mostly(
+    st.builds(
+        "{}2001-02-{:02d}{}".format,
+        st.sampled_from(["", " "]),
+        st.integers(1, 28),
+        st.sampled_from(["", "\t"]),
+    ),
+    st.sampled_from(["2001-13-01", "x", ""]),
+)
+
+
+@st.composite
+def tables(draw) -> str:
+    """Panel text: a header of 1-4 firms and rows whose dates may be
+    unsorted, repeated or malformed and whose cells may be anything a file
+    holds; a few rows are short or blank."""
+    n = draw(st.integers(1, 4))
+    lines = [",".join(["date"] + [f"F{j}" for j in range(n)])]
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(["full"] * 18 + ["short", "blank"]))
+        if shape == "blank":
+            lines.append("," * n)
+            continue
+        width = n if shape == "full" else draw(st.integers(0, n - 1))
+        cells = draw(st.lists(CELLS, min_size=width, max_size=width))
+        lines.append(",".join([draw(DATES)] + cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(tables())
+def test_loader_matches_the_per_cell_oracle(text):
+    try:
+        want = per_cell_oracle(text)
+    except PanelFormatError as exc:
+        with pytest.raises(PanelFormatError) as got:
+            _load(text)
+        assert str(got.value) == str(exc)
+        return
+    panel = _load(text)
+    assert panel.dates == want.dates and panel.firms == want.firms
+    assert panel.returns.tobytes() == want.returns.tobytes()
+    assert np.array_equal(panel.mask, want.mask)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
 from risknet import pipeline, spectral
@@ -246,6 +250,8 @@ def test_report_with_nan_werc_is_refused():
         dict(werc=(-math.inf, 0.25, 0.1)),
         dict(werc=(math.inf, 0.25, 0.1)),
         dict(surviving_order=(None, 2, None)),
+        # the writer would put out `true`, which the reader refuses
+        dict(werc=(math.inf, 0.25, 0.1), surviving_order=(True, None, None)),
     ],
     ids=str,
 )
@@ -345,6 +351,64 @@ def test_report_json_roundtrip_with_infinities():
     assert again == report
     with pytest.raises(NetworkFormatError, match="schema"):
         report_from_dict(dict(payload, schema_version=3))
+
+
+NAMES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        ['Q"uote', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "Zürich Rück", "東京海上"]
+    ),
+)
+FLOATS = st.one_of(
+    st.sampled_from([5e-324, 1.0, 1e-05, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def reports(draw) -> RobustnessReport:
+    """Reports of 0-8 analyzed firms among 0-10, each with a finite
+    removal impact or an infinite one and its surviving order."""
+    firms = draw(st.lists(NAMES, max_size=10))
+    analyzed = [f for f in firms if draw(st.booleans())]
+    cut = [draw(st.booleans()) for _ in analyzed]
+    return RobustnessReport(
+        window_id=draw(st.integers(0, 10**6)),
+        label=draw(NAMES),
+        firms=tuple(firms),
+        analyzed_firms=tuple(analyzed),
+        component_note=draw(st.one_of(st.none(), NAMES)),
+        density=draw(FLOATS),
+        kirchhoff=draw(FLOATS),
+        normalized_kirchhoff=draw(FLOATS),
+        werc=tuple(math.inf if c else draw(FLOATS) for c in cut),
+        clustering=tuple(draw(FLOATS) for _ in analyzed),
+        strength=tuple(draw(FLOATS) for _ in analyzed),
+        surviving_order=tuple(draw(st.integers(0, 200)) if c else None for c in cut),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reports())
+def test_report_writer_bytes_match_json_dump(report):
+    buffer = io.StringIO()
+    pipeline.write_report(report, buffer)
+    text = buffer.getvalue()
+    assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+    with tempfile.TemporaryDirectory() as out:
+        pipeline.write_reports([report], out)
+        assert read_reports(out) == (report,)
+
+
+@pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])
+def test_report_writer_refuses_non_finite_floats(field, value):
+    report = fake_report(1, "2008-03", ("A", "B"), (0.25, 0.5))
+    # past the report's own validation, as json.dump would meet it
+    object.__setattr__(report, field, (value, 0.5))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        pipeline.write_report(report, io.StringIO())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------- ranking
