@@ -13,12 +13,12 @@ from typing import Sequence
 from .errors import RiskNetError
 from .network import RiskNetwork
 from .pipeline import (
+    RobustnessReport,
     SubPeriod,
     WeightBand,
     timeseries_rows,
     weight_distribution_stats,
 )
-from .spectral import RobustnessReport
 
 __all__ = ["line_chart", "band_chart", "emit_charts"]
 

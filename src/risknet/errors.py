@@ -31,11 +31,6 @@ class DegeneratePairError(RiskNetError):
     downstream."""
 
 
-class InestimablePairError(RiskNetError):
-    """A firm pair has too little joint history (or an empty conditioning
-    set) to estimate tail co-movement."""
-
-
 class ConfigError(RiskNetError):
     """Invalid study configuration (bad key, malformed period range,
     overlapping sub-periods) or command line (unknown or missing flag)."""

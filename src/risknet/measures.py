@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePairError, EstimationError, InestimablePairError
+from .errors import DegeneratePairError, EstimationError
 
 __all__ = [
     "RiskProfile",
@@ -125,10 +125,8 @@ def estimate_mes(target: np.ndarray, source: np.ndarray, alpha: float) -> float:
         )
     if not np.all(np.isfinite(target)):
         raise EstimationError("target series contains non-finite values")
-    q = estimate_var(source, alpha)
-    conditioning = source <= q
-    if not conditioning.any():
-        raise InestimablePairError("empty conditioning set")
+    # the quantile is one of the source's own values: the set is never empty
+    conditioning = source <= estimate_var(source, alpha)
     return float(-target[conditioning].mean())
 
 

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, TypeVar
+from typing import IO, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,10 +37,8 @@ __all__ = [
     "build_directed",
     "symmetrize",
     "density",
-    "network_to_dict",
     "network_from_dict",
     "write_network",
-    "read_network",
 ]
 
 SCHEMA_VERSION = 1
@@ -271,54 +269,48 @@ def density(net: RiskNetwork) -> float:
     return net.m / math.comb(net.n, 2)
 
 
-def _header(net: RiskNetwork) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "window_id": net.window_id,
-        "label": net.label,
-        "n": net.n,
-        "firms": list(net.firms),
-    }
+# One edge in the layout ``json.dump(..., indent=2)`` gives it.
+_EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
 
 
-def _edges(net: RiskNetwork) -> tuple[list[int], list[int], list[float]]:
-    """Rows, columns and weights of the positive upper-triangle edges, as
-    Python ints and floats in row-major order (i < j)."""
+def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
+    """Write the header and ``edges``, the positive upper-triangle weights
+    as ``[i, j, weight]`` in row-major order (i < j), by :func:`_write_records`."""
+    header = dict(
+        schema_version=SCHEMA_VERSION, window_id=net.window_id, label=net.label, n=net.n,
+        firms=list(net.firms),
+    )
     rows, cols = np.triu_indices(net.n, k=1)
     values = net.weights[rows, cols]
     live = values > 0.0
-    return rows[live].tolist(), cols[live].tolist(), values[live].tolist()
-
-
-def network_to_dict(net: RiskNetwork) -> dict:
-    """JSON-ready form: firms plus the positive upper-triangle edges, as
-    ``[i, j, weight]`` lists of Python ints and floats in row-major order
-    (i < j)."""
-    return {**_header(net), "edges": [list(edge) for edge in zip(*_edges(net))]}
+    # repr of a Python int or finite float is the text json writes for it
+    edges = (rows[live].tolist(), cols[live].tolist(), values[live].tolist())
+    _write_records(target, header, "edges", _EDGE, [map(repr, column) for column in edges])
 
 
 def network_from_dict(payload: dict) -> RiskNetwork:
-    """Inverse of :func:`network_to_dict`, with schema validation.
+    """The network of a saved payload, with schema validation.
 
-    Every edge must be a list ``[i, j, weight]`` with integer indices
-    0 <= i < j < n (a bool, a float such as 1.0 or a string is refused,
-    not truncated), a numeric weight in (0, 1], and no pair twice. The
-    first check that fails names its first offending entry.
+    Nothing is coerced (:func:`_field`): ``window_id`` and ``n`` must be
+    integers, ``label`` a string and ``firms`` a list of strings. Each edge
+    must be a list ``[i, j, weight]``: integers 0 <= i < j < n (a bool,
+    1.0 or "2" is refused, not truncated), a numeric weight in (0, 1], and
+    no pair twice. An error names the first bad entry.
     """
     try:
-        version = payload["schema_version"]
+        version = _field(payload, "schema_version", "an integer")
         if version != SCHEMA_VERSION:
             raise NetworkFormatError(f"unsupported schema version {version!r}")
-        firms = tuple(str(f) for f in payload["firms"])
-        n = int(payload["n"])
-        window_id = int(payload["window_id"])
-        label = str(payload["label"])
+        window_id = _field(payload, "window_id", "an integer")
+        label = _field(payload, "label", "a string")
+        n = _field(payload, "n", "an integer")
+        firms = tuple(_field(payload, "firms", "a list of strings"))
         edges = payload["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise NetworkFormatError(f"bad network payload: {exc}") from None
     if n != len(firms):
         raise NetworkFormatError(f"n={n} but {len(firms)} firms listed")
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise NetworkFormatError(f"bad network payload: edges is a {type(edges).__name__}")
     weights = np.zeros((n, n))
     if edges:
@@ -342,9 +334,7 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         entry = first(lambda e: type(e) is not list or len(e) != 3)
         raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
     rows, cols, values = zip(*edges)
-    if not set(map(type, rows)) | set(map(type, cols)) <= {int}:
-        entry = first(lambda e: type(e[0]) is not int or type(e[1]) is not int)
-        raise NetworkFormatError(f"edge indices must be integers: {entry!r}")
+    _check_types(edges, (rows, cols), {int}, "edge indices must be integers: {!r}")
     try:
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
@@ -354,9 +344,7 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if not ordered:
         entry = first(lambda e: not 0 <= e[0] < e[1] < n)
         raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
-    if not set(map(type, values)) <= {int, float}:
-        entry = first(lambda e: type(e[2]) not in (int, float))
-        raise NetworkFormatError(f"bad edge entry {entry!r}: weight is not a number")
+    _check_types(edges, (values,), {int, float}, "bad edge entry {!r}: weight is not a number")
     try:
         weights = np.array(values, dtype=float)
         in_range = bool(np.all((weights > 0.0) & (weights <= 1.0)))
@@ -374,27 +362,74 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rows, cols, weights
 
 
-def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
-    """Write ``network_to_dict(net)`` as ``json.dump(..., indent=2)`` plus a
-    newline would, byte for byte, without running the json module's
-    pure-Python encoder on the edges: only the header goes through
-    ``json.dumps``, and each edge is rendered from a fixed template, where
-    ``repr`` of a Python int or float is what the json module writes."""
+def _write_records(
+    target: str | Path | IO[str], header: dict, key: str, template: str, columns: Iterable
+) -> None:
+    """Write ``header`` plus ``key``, a list of records, byte for byte as
+    ``json.dump(..., indent=2, allow_nan=False)`` and a newline would. Only
+    the header meets the json module's pure-Python encoder (a NaN or an
+    infinite float in it raises ``ValueError``, and nothing is written):
+    record k is ``template`` with its ``{}`` slots filled by the k-th JSON
+    text of each column, and one join makes them all."""
+    head = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
+    columns = [list(column) for column in columns]
+    fixed = template.split("{}")  # the text before, between and after the slots
+    slots, count = len(columns), len(columns[0])
+    # value j of record k at 2 * (k * slots + j) + 1, the text before it just
+    # ahead; between two records that text joins the end of one to the next
+    parts = [f"{fixed[-1]},\n{fixed[0]}"] * (2 * slots * count)
+    for j, column in enumerate(columns):
+        parts[2 * j + 1 :: 2 * slots] = column
+        if j:
+            parts[2 * j :: 2 * slots] = [fixed[j]] * count
+    body = f"[\n{fixed[0]}{''.join(parts[1:])}{fixed[-1]}\n  ]" if count else "[]"
+    text = f'{head},\n  "{key}": {body}\n}}\n'
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            write_network(net, handle)
-        return
-    head = json.dumps(_header(net), indent=2)[: -len("\n}")]
-    rows, cols, values = _edges(net)
-    if rows:
-        body = ",\n".join(
-            f"    [\n      {i},\n      {j},\n      {w!r}\n    ]"
-            for i, j, w in zip(rows, cols, values)
-        )
-        body = f"[\n{body}\n  ]"
+            handle.write(text)
     else:
-        body = "[]"
-    target.write(f'{head},\n  "edges": {body}\n}}\n')
+        target.write(text)
+
+
+# What json.load gives each kind of saved value, by the words that name it
+# in an error: exact types, so a bool is not an integer. A "list of" kind
+# holds the types of the list's entries.
+_KINDS = {
+    "an integer": {int},
+    "an integer or null": {int, type(None)},
+    "a number": {int, float},
+    "a number or 'inf'": {int, float},  # "inf" is read as inf before the check
+    "a string": {str},
+    "a string or null": {str, type(None)},
+    "a list": {list},
+    "a list of strings": {str},
+}
+
+
+def _check_types(records: Sequence, columns: Sequence, types: set, message: str) -> None:
+    """Raise ``NetworkFormatError(message.format(record))`` for the first
+    record whose value in one of ``columns`` has a type outside ``types``;
+    the records are walked only when a column's set of types is wrong."""
+    if set().union(*(map(type, column) for column in columns)) <= types:
+        return
+    at = next(k for k, row in enumerate(zip(*columns)) if not set(map(type, row)) <= types)
+    raise NetworkFormatError(message.format(records[at]))
+
+
+def _checked(key: str, values: list, kind: str) -> list:
+    """``values`` of ``key``, once each is of ``kind``; else the error
+    ``<key> must be <kind>, got <the first value that is not>``."""
+    _check_types(values, (values,), _KINDS[kind], f"{key} must be {kind}, got {{!r}}")
+    return values
+
+
+def _field(payload: dict, key: str, kind: str):
+    """``payload[key]``, once it is of ``kind``; a list, then each of its
+    entries, for a "list of" kind."""
+    value = payload[key]
+    if kind.startswith("a list of "):
+        return _checked(key, _checked(key, [value], "a list")[0], kind)
+    return _checked(key, [value], kind)[0]
 
 
 def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
@@ -417,7 +452,3 @@ def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
         return parse(payload)
     except RiskNetError as exc:
         raise type(exc)(f"{source}: {exc}") from None
-
-
-def read_network(source: str | Path | IO[str]) -> RiskNetwork:
-    return read_json(source, network_from_dict)

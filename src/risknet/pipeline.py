@@ -29,9 +29,12 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NetworkFormatError, RiskNetError, WindowError
+from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError, WindowError
 from .network import (
     RiskNetwork,
+    _checked,
+    _field,
+    _write_records,
     build_directed,
     density,
     network_from_dict,
@@ -41,7 +44,6 @@ from .network import (
 )
 from .panel import ReturnPanel, load_returns
 from .spectral import (
-    RobustnessReport,
     barrat_clustering_all,
     largest_component,
     normalized_kirchhoff,
@@ -55,6 +57,7 @@ __all__ = [
     "StudyResult",
     "RankingRow",
     "RankingTable",
+    "RobustnessReport",
     "WeightBand",
     "DEFAULT_SUB_PERIODS",
     "ALL_PERIODS",
@@ -274,6 +277,50 @@ class WeightBand:
     mean: float
     q05: float
     q95: float
+
+
+@dataclass(frozen=True)
+class RobustnessReport:
+    """Per-window robustness summary produced by the pipeline."""
+
+    window_id: int
+    label: str
+    firms: tuple[str, ...]
+    analyzed_firms: tuple[str, ...]
+    component_note: str | None
+    density: float
+    kirchhoff: float
+    normalized_kirchhoff: float
+    werc: tuple[float, ...]
+    clustering: tuple[float, ...]
+    strength: tuple[float, ...]
+    surviving_order: tuple[int | None, ...]
+
+    def __post_init__(self) -> None:
+        """Refuse what no analyzed window yields: NaN, a non-finite density,
+        Kirchhoff index, clustering or strength, and a removal impact that
+        is -inf or disagrees with its surviving order (an integer, not a
+        bool, exactly where the impact is +inf)."""
+        values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
+        if any(math.isnan(v) for v in values):
+            raise NumericalError(
+                f"window {self.label}: NaN in Kirchhoff index or removal impacts"
+            )
+        finite = (
+            self.density, self.kirchhoff, self.normalized_kirchhoff,
+            *self.clustering, *self.strength,
+        )
+        if not all(map(math.isfinite, finite)):
+            raise NumericalError(
+                f"window {self.label}: non-finite density, Kirchhoff index, "
+                "clustering or strength"
+            )
+        for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
+            if impact == -math.inf or (impact == math.inf) != (type(order) is int):
+                raise NumericalError(
+                    f"window {self.label}: firm {firm} has removal impact {impact} "
+                    f"with surviving order {order}"
+                )
 
 
 @dataclass(frozen=True)
@@ -565,61 +612,56 @@ def report_to_dict(report: RobustnessReport) -> dict:
     }
 
 
+def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
+    """``values`` of ``key`` as floats, once each is a JSON number, or with
+    ``inf`` also the string "inf"."""
+    if inf:
+        values = [math.inf if x == "inf" else x for x in values]
+    return tuple(map(float, _checked(key, values, "a number or 'inf'" if inf else "a number")))
+
+
 def report_from_dict(payload: dict) -> RobustnessReport:
-    """Inverse of :func:`report_to_dict`, with schema validation.
-
-    Numbers must be JSON numbers: a bool, or a string such as "0.03", is
-    refused, not coerced. ``werc`` and the Kirchhoff indices may also be
-    "inf". ``window_id`` and every surviving order must be integers (2.7 is
-    refused, not truncated); a surviving order may also be null.
-    """
-
-    def number(key: str, x, *, inf: bool = False) -> float:
-        if inf and x == "inf":
-            return math.inf
-        if type(x) in (int, float):
-            return float(x)
-        wanted = "a number or 'inf'" if inf else "a number"
-        raise NetworkFormatError(f"{key} must be {wanted}, got {x!r}")
-
-    def integer(key: str, x, *, null: bool = False) -> int | None:
-        if type(x) is int or (null and x is None):
-            return x
-        wanted = "an integer or null" if null else "an integer"
-        raise NetworkFormatError(f"{key} must be {wanted}, got {x!r}")
-
+    """Inverse of :func:`report_to_dict`, with schema validation by the
+    saved network's checker, column by column: nothing is coerced. Numbers
+    must be JSON numbers, and ``werc`` and the Kirchhoff indices may be
+    "inf"; ``window_id`` and each surviving order must be integers (2.7 is
+    refused, not truncated), and a surviving order may be null; ``label``
+    and each ``firm`` must be strings, ``component_note`` a string or null
+    and ``firms`` a list of strings."""
     try:
-        version = payload["schema_version"]
+        version = _field(payload, "schema_version", "an integer")
         if version != REPORT_SCHEMA_VERSION:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
-        vertices = payload["vertices"]
+        vertices = _field(payload, "vertices", "a list")
+        column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
         return RobustnessReport(
-            window_id=integer("window_id", payload["window_id"]),
-            label=str(payload["label"]),
-            firms=tuple(str(f) for f in payload["firms"]),
-            analyzed_firms=tuple(str(v["firm"]) for v in vertices),
-            component_note=payload["component_note"],
-            density=number("density", payload["density"]),
-            kirchhoff=number("kirchhoff", payload["kirchhoff"], inf=True),
-            normalized_kirchhoff=number(
-                "normalized_kirchhoff", payload["normalized_kirchhoff"], inf=True
-            ),
-            werc=tuple(number("werc", v["werc"], inf=True) for v in vertices),
-            clustering=tuple(number("clustering", v["clustering"]) for v in vertices),
-            strength=tuple(number("strength", v["strength"]) for v in vertices),
+            window_id=_field(payload, "window_id", "an integer"),
+            label=_field(payload, "label", "a string"),
+            firms=tuple(_field(payload, "firms", "a list of strings")),
+            analyzed_firms=tuple(_checked("firm", column["firm"], "a string")),
+            component_note=_field(payload, "component_note", "a string or null"),
+            density=_numbers("density", [payload["density"]])[0],
+            kirchhoff=_numbers("kirchhoff", [payload["kirchhoff"]], inf=True)[0],
+            normalized_kirchhoff=_numbers(
+                "normalized_kirchhoff", [payload["normalized_kirchhoff"]], inf=True
+            )[0],
+            werc=_numbers("werc", column["werc"], inf=True),
+            clustering=_numbers("clustering", column["clustering"]),
+            strength=_numbers("strength", column["strength"]),
             surviving_order=tuple(
-                integer("surviving_order", v["surviving_order"], null=True)
-                for v in vertices
+                _checked("surviving_order", column["surviving_order"], "an integer or null")
             ),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise NetworkFormatError(f"bad report payload: {exc}") from None
 
 
+_VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
+
 # One vertex in the layout ``json.dump(..., indent=2)`` gives it.
 _VERTEX = (
-    '    {{\n      "firm": {},\n      "werc": {},\n      "clustering": {},\n'
-    '      "strength": {},\n      "surviving_order": {}\n    }}'
+    '    {\n      "firm": {},\n      "werc": {},\n      "clustering": {},\n'
+    '      "strength": {},\n      "surviving_order": {}\n    }'
 )
 
 
@@ -628,31 +670,18 @@ def _json_items(values: Iterable) -> list[str]:
     ``json.dumps(..., allow_nan=False)`` writes it, from one call of the
     json module's C encoder: no such text holds ", ". A NaN or infinite
     float raises ``ValueError``."""
-    return json.dumps(list(values), allow_nan=False)[1:-1].split(", ")
+    text = json.dumps(list(values), allow_nan=False)[1:-1]
+    return text.split(", ") if text else []
 
 
 def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None:
-    """Write ``report_to_dict(report)`` as ``json.dump(..., indent=2,
-    allow_nan=False)`` plus a newline would, byte for byte, without running
-    the json module's pure-Python encoder on the vertices: the header goes
-    through ``json.dumps``, and each vertex is rendered from a fixed
-    template, its firm by json's own string encoder and its values a
-    column at a time by :func:`_json_items`. A NaN or infinite float,
-    other than an infinite removal impact, raises ``ValueError``."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            write_report(report, handle)
-        return
-    head = json.dumps(_report_header(report), indent=2, allow_nan=False)[: -len("\n}")]
-    if report.analyzed_firms:
-        werc = ["inf" if w == math.inf else w for w in report.werc]
-        columns = (werc, report.clustering, report.strength, report.surviving_order)
-        firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
-        body = ",\n".join(map(_VERTEX.format, firms, *map(_json_items, columns)))
-        body = f"[\n{body}\n  ]"
-    else:
-        body = "[]"
-    target.write(f'{head},\n  "vertices": {body}\n}}\n')
+    """Write ``report_to_dict(report)`` by ``network._write_records``. A NaN
+    or infinite float, other than an infinite removal impact, raises
+    ``ValueError``."""
+    werc = ["inf" if w == math.inf else w for w in report.werc]
+    values = map(_json_items, (werc, report.clustering, report.strength, report.surviving_order))
+    firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
+    _write_records(target, _report_header(report), "vertices", _VERTEX, (firms, *values))
 
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:

@@ -51,7 +51,6 @@ from .network import RiskNetwork
 
 __all__ = [
     "LaplacianSpectrum",
-    "RobustnessReport",
     "RemovalImpacts",
     "weighted_laplacian",
     "spectrum",
@@ -60,7 +59,6 @@ __all__ = [
     "effective_resistance_oracle",
     "connected_components",
     "largest_component",
-    "werc",
     "werc_all",
     "barrat_clustering",
     "barrat_clustering_all",
@@ -93,50 +91,6 @@ class LaplacianSpectrum:
     @property
     def connected(self) -> bool:
         return self.zero_multiplicity == 1
-
-
-@dataclass(frozen=True)
-class RobustnessReport:
-    """Per-window robustness summary produced by the pipeline."""
-
-    window_id: int
-    label: str
-    firms: tuple[str, ...]
-    analyzed_firms: tuple[str, ...]
-    component_note: str | None
-    density: float
-    kirchhoff: float
-    normalized_kirchhoff: float
-    werc: tuple[float, ...]
-    clustering: tuple[float, ...]
-    strength: tuple[float, ...]
-    surviving_order: tuple[int | None, ...]
-
-    def __post_init__(self) -> None:
-        """Refuse what no analyzed window yields: NaN, a non-finite density,
-        Kirchhoff index, clustering or strength, and a removal impact that
-        is -inf or disagrees with its surviving order (an integer, not a
-        bool, exactly where the impact is +inf)."""
-        values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
-        if any(math.isnan(v) for v in values):
-            raise NumericalError(
-                f"window {self.label}: NaN in Kirchhoff index or removal impacts"
-            )
-        finite = (
-            self.density, self.kirchhoff, self.normalized_kirchhoff,
-            *self.clustering, *self.strength,
-        )
-        if not all(map(math.isfinite, finite)):
-            raise NumericalError(
-                f"window {self.label}: non-finite density, Kirchhoff index, "
-                "clustering or strength"
-            )
-        for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
-            if impact == -math.inf or (impact == math.inf) != (type(order) is int):
-                raise NumericalError(
-                    f"window {self.label}: firm {firm} has removal impact {impact} "
-                    f"with surviving order {order}"
-                )
 
 
 def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
@@ -289,14 +243,6 @@ def largest_component(net: RiskNetwork) -> RiskNetwork:
         firms=tuple(net.firms[i] for i in best),
         weights=net.weights[np.ix_(best, best)],
     )
-
-
-def werc(net: RiskNetwork, vertex: int) -> float:
-    """Relative change of the normalized Kirchhoff index when ``vertex``
-    is removed: entry ``vertex`` of :func:`werc_all`."""
-    if not 0 <= vertex < net.n:
-        raise ValueError(f"vertex {vertex} out of range for order {net.n}")
-    return float(werc_all(net).impacts[vertex])
 
 
 @dataclass(frozen=True)

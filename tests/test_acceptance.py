@@ -35,7 +35,7 @@ from risknet.spectral import (
     normalized_kirchhoff,
     spectrum,
     weighted_laplacian,
-    werc,
+    werc_all,
 )
 from risknet.synthetic import generate_panel, month_span
 
@@ -97,9 +97,9 @@ def test_c2_closed_form_fixtures(capsys):
         assert abs(normalized_kirchhoff(k, 3) - 4.0 / 3.0) <= 1e-12
 
         # dropping a leaf tightens the chain, dropping the middle cuts it
-        assert abs(werc(chain, 0) - (-0.25)) <= 1e-12
-        assert abs(werc(chain, 2) - (-0.25)) <= 1e-12
-        assert werc(chain, 1) == math.inf
+        assert abs(werc_all(chain).impacts[0] - (-0.25)) <= 1e-12
+        assert abs(werc_all(chain).impacts[2] - (-0.25)) <= 1e-12
+        assert werc_all(chain).impacts[1] == math.inf
 
 
 # --- criterion 3: heavier networks never raise total resistance -------------

@@ -275,10 +275,17 @@ def set_field(key, value):
         (set_field("window_id", "3"), "window_id must be an integer, got '3'"),
         (set_field("window_id", 3.0), "window_id must be an integer, got 3.0"),
         (set_field("density", 10**400), "bad report payload"),
+        # str() would read these as firm "7", label "200501" and firms A and B,
+        # and the note was kept as it came
+        (set_vertex("firm", 7), "firm must be a string, got 7"),
+        (set_field("label", 200501), "label must be a string, got 200501"),
+        (set_field("component_note", 3.5), "component_note must be a string or null, got 3.5"),
+        (set_field("firms", "AB"), "firms must be a list, got 'AB'"),
     ],
     ids=[
         "order-float", "order-bool", "density-string", "clustering-string",
         "strength-bool", "werc-bool", "window-string", "window-float", "density-huge",
+        "firm-int", "label-int", "note-float", "firms-string",
     ],
 )
 def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
@@ -289,6 +296,33 @@ def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys
     edit(payload)
     target.write_text(json.dumps(payload))
     error = single_error(capsys, ["rank", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    assert error["message"].startswith(f"{target}: ")
+    assert shown in error["message"]
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    [
+        # int() would truncate the first and parse the second
+        (set_field("window_id", 3.7), "window_id must be an integer, got 3.7"),
+        (set_field("window_id", "3"), "window_id must be an integer, got '3'"),
+        # the panel's 10 firms, as a float that int() would accept
+        (set_field("n", 10.0), "n must be an integer, got 10.0"),
+        # str() would read these as label "200501" and firms A, B and C
+        (set_field("label", 200501), "label must be a string, got 200501"),
+        (set_field("firms", "ABC"), "firms must be a list, got 'ABC'"),
+    ],
+    ids=["window-float", "window-string", "n-float", "label-int", "firms-string"],
+)
+def test_saved_network_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    target = sorted((out / "networks").glob("window_*.json"))[-1]
+    payload = json.loads(target.read_text())
+    edit(payload)
+    target.write_text(json.dumps(payload))
+    error = single_error(capsys, ["export-charts", "--out", str(out)])
     assert error["error"] == "NetworkFormatError"
     assert error["message"].startswith(f"{target}: ")
     assert shown in error["message"]

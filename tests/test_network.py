@@ -8,6 +8,7 @@ import datetime as dt
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,8 +31,7 @@ from risknet.network import (
     build_directed,
     density,
     network_from_dict,
-    network_to_dict,
-    read_network,
+    read_json,
     symmetrize,
     write_network,
 )
@@ -355,14 +355,14 @@ def test_json_roundtrip_preserves_weights_bitwise():
         )
         buffer = io.StringIO()
         write_network(net, buffer)
-        again = read_network(io.StringIO(buffer.getvalue()))
+        again = read_json(io.StringIO(buffer.getvalue()), network_from_dict)
         assert again.firms == net.firms
         assert again.window_id == net.window_id and again.label == net.label
         assert np.array_equal(again.weights, net.weights)
 
 
 def test_network_payload_validation():
-    base = network_to_dict(
+    base = format_oracle(
         RiskNetwork(1, "2001-01", ("A", "B"), np.array([[0.0, 0.5], [0.5, 0.0]]))
     )
     bad_version = dict(base, schema_version=99)
@@ -378,7 +378,7 @@ def test_network_payload_validation():
     with pytest.raises(NetworkFormatError, match="duplicate edge"):
         network_from_dict(dup)
     with pytest.raises(NetworkFormatError, match="invalid JSON"):
-        read_network(io.StringIO("{not json"))
+        read_json(io.StringIO("{not json"), network_from_dict)
 
 
 
@@ -434,8 +434,7 @@ def test_writer_bytes_match_json_dump_of_the_per_pair_payload(net):
     write_network(net, buffer)
     text = buffer.getvalue()
     assert text == json.dumps(format_oracle(net), indent=2) + "\n"
-    assert network_to_dict(net) == format_oracle(net)
-    again = read_network(io.StringIO(text))
+    again = read_json(io.StringIO(text), network_from_dict)
     assert (again.window_id, again.label, again.firms) == (net.window_id, net.label, net.firms)
     assert np.array_equal(again.weights, net.weights)
 
@@ -489,6 +488,23 @@ def test_edge_indices_must_be_integers_not_truncated():
 def test_edge_validation_names_the_first_bad_entry(edges, message):
     with pytest.raises(NetworkFormatError, match=message):
         network_from_dict(dict(BASE, edges=edges))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("schema_version", True, "schema_version must be an integer, got True"),
+        ("window_id", 1.0, "window_id must be an integer, got 1.0"),
+        ("window_id", False, "window_id must be an integer, got False"),
+        ("n", "3", "n must be an integer, got '3'"),
+        ("label", None, "label must be a string, got None"),
+        ("firms", ["A", 2, None], "firms must be a list of strings, got 2"),
+    ],
+)
+def test_header_fields_must_have_their_json_type(key, value, message):
+    # int() and str() would have read each of these
+    with pytest.raises(NetworkFormatError, match=f"^{re.escape(message)}$"):
+        network_from_dict(dict(BASE, edges=[], **{key: value}))
 
 
 def test_integer_weights_are_read_as_floats():

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -21,6 +22,7 @@ from risknet.panel import panel_from_rows
 from risknet.pipeline import (
     ALL_PERIODS,
     RankingRow,
+    RobustnessReport,
     StudyConfig,
     SubPeriod,
     analyze_panel,
@@ -40,7 +42,6 @@ from risknet.pipeline import (
     write_study,
     write_timeseries,
 )
-from risknet.spectral import RobustnessReport
 from risknet.synthetic import generate_panel, weekday_dates
 from risknet.windows import window_panel
 
@@ -351,6 +352,25 @@ def test_report_json_roundtrip_with_infinities():
     assert again == report
     with pytest.raises(NetworkFormatError, match="schema"):
         report_from_dict(dict(payload, schema_version=3))
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(1, "clustering", "0.5"), (2, "clustering", True)],
+         "clustering must be a number, got '0.5'"),
+        ([(2, "firm", 7), (0, "werc", "0.1")], "firm must be a string, got 7"),
+        ([(1, "werc", "-inf")], "werc must be a number or 'inf', got '-inf'"),
+        ([(0, "surviving_order", 2.0)], "surviving_order must be an integer or null, got 2.0"),
+    ],
+    ids=["first-of-two-in-a-column", "firm-column-first", "werc-string", "order-float"],
+)
+def test_report_vertices_are_checked_a_column_at_a_time(edits, message):
+    payload = report_to_dict(fake_report(3, "2008-03", ("A", "B", "C"), (0.25, 0.5, -0.1)))
+    for vertex, key, value in edits:
+        payload["vertices"][vertex][key] = value
+    with pytest.raises(NetworkFormatError, match=f"^{re.escape(message)}$"):
+        report_from_dict(payload)
 
 
 NAMES = st.one_of(

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, and the top-level set
-is pinned so that any growth shows up in review."""
+and each submodule's ``__all__`` are pinned so that any growth shows up in
+review."""
 
 from __future__ import annotations
 
@@ -23,6 +24,37 @@ TOP_LEVEL = {
     "__version__",
 }
 
+# submodule -> its __all__; an empty set for a module without one
+SUBMODULE_NAMES = {
+    "charts": {"line_chart", "band_chart", "emit_charts"},
+    "cli": set(),
+    "errors": set(),
+    "measures": {
+        "RiskProfile", "estimate_var", "estimate_es", "estimate_mes", "risk_profile",
+        "impact", "edge_weight",
+    },
+    "network": {
+        "Diagnostic", "DirectedWeights", "RiskNetwork", "build_directed", "symmetrize",
+        "density", "network_from_dict", "write_network",
+    },
+    "panel": {"ReturnPanel", "load_returns", "save_returns"},
+    "pipeline": {
+        "SubPeriod", "StudyConfig", "StudyResult", "RankingRow", "RankingTable",
+        "RobustnessReport", "WeightBand", "DEFAULT_SUB_PERIODS", "ALL_PERIODS",
+        "parse_periods", "load_config_file", "run_study", "build_networks", "analyze_panel",
+        "window_report", "rank_firms", "weight_distribution_stats", "timeseries_rows",
+        "period_slug", "write_study", "read_reports", "read_networks",
+    },
+    "spectral": {
+        "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
+        "kirchhoff_index", "normalized_kirchhoff", "effective_resistance_oracle",
+        "connected_components", "largest_component", "werc_all", "barrat_clustering",
+        "barrat_clustering_all",
+    },
+    "synthetic": {"generate_panel", "month_span", "weekday_dates"},
+    "windows": {"WindowSlice", "window_panel"},
+}
+
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(risknet.__path__))
 
 
@@ -40,3 +72,10 @@ def test_submodule_exports_resolve(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_submodule_names_are_pinned():
+    assert sorted(SUBMODULE_NAMES) == SUBMODULES
+    for name in SUBMODULES:
+        module = importlib.import_module(f"risknet.{name}")
+        assert set(getattr(module, "__all__", ())) == SUBMODULE_NAMES[name], name

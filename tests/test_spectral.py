@@ -23,7 +23,6 @@ from risknet.spectral import (
     normalized_kirchhoff,
     spectrum,
     weighted_laplacian,
-    werc,
     werc_all,
 )
 from risknet.synthetic import generate_panel
@@ -75,12 +74,12 @@ def test_unit_path_fixture():
 
 
 def test_path_leaf_removal_werc():
-    assert abs(werc(path3(), 0) - (-0.25)) < 1e-12
-    assert abs(werc(path3(), 2) - (-0.25)) < 1e-12
+    assert abs(werc_all(path3()).impacts[0] - (-0.25)) < 1e-12
+    assert abs(werc_all(path3()).impacts[2] - (-0.25)) < 1e-12
 
 
 def test_path_centre_removal_disconnects():
-    assert werc(path3(), 1) == math.inf
+    assert werc_all(path3()).impacts[1] == math.inf
 
 
 def test_kirchhoff_matches_pairwise_resistance_oracle():
@@ -150,22 +149,14 @@ def test_kirchhoff_never_increases_when_edges_strengthen():
             assert bumped < base - 1e-12
 
 
-def test_werc_all_matches_single_vertex_calls():
-    rng = np.random.default_rng(91)
-    net = random_connected(rng, 7)
-    vector = werc_all(net).impacts
-    for i in range(net.n):
-        assert vector[i] == werc(net, i)
-
-
 def test_werc_requires_connected_input():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 0.7
     w[2, 3] = w[3, 2] = 0.7
     with pytest.raises(DisconnectedNetworkError):
-        werc(from_weights(w), 0)
+        werc_all(from_weights(w))
     with pytest.raises(ValueError, match="three vertices"):
-        werc(two_vertex(1.0), 0)
+        werc_all(two_vertex(1.0))
 
 
 def test_werc_is_permutation_equivariant():
