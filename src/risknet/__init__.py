@@ -24,7 +24,7 @@ _EXPORTS = {
     "build_directed": "network",
     "symmetrize": "network",
     "werc_all": "spectral",
-    "StudyConfig": "pipeline",
+    "StudyConfig": "reports",
     "run_study": "pipeline",
     "write_study": "pipeline",
 }

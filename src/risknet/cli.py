@@ -7,7 +7,8 @@ Subcommands, and the flags each takes besides ``--out``, ``--config`` and
                      write per-window networks only
 * ``analyze``        ``--input --alpha --min-obs --periods --charts``: full
                      study (networks, reports, rankings, timeseries, charts)
-* ``rank``           ``--periods``: recompute ranking tables from saved reports
+* ``rank``           ``--periods``: recompute ranking tables from saved reports,
+                     without loading numpy
 * ``export-charts``  ``--periods``: render charts from saved reports and networks
 
 All fatal errors, usage errors included, exit 1 with a one-line JSON
@@ -17,11 +18,13 @@ object on stderr: ``{"error": "<type>", "message": "<detail>"}``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import logging
 import os
 import sys
 from pathlib import Path
+from types import ModuleType
 
 # One BLAS thread unless the environment says otherwise, set before numpy
 # loads OpenBLAS. The command's factorizations and products are of the
@@ -31,22 +34,32 @@ from pathlib import Path
 # whether the other core is free.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .charts import emit_charts
+from . import reports
 from .errors import ConfigError, RiskNetError
-from .panel import load_returns
-from .pipeline import (
-    StudyConfig,
-    build_networks,
-    config_from_sources,
-    load_config_file,
-    parse_periods,
-    rank_firms,
-    read_networks,
-    read_reports,
-    run_study,
-    write_networks,
-    write_rankings,
-    write_study,
+
+
+def _lazy(name: str) -> ModuleType:
+    """``risknet.<name>``: the module itself once imported, else a module
+    placed in ``sys.modules`` whose body runs on its first attribute use."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:  # a second copy would split monkeypatches and wrappers
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The modules that need numpy load when a command first calls into them,
+# so ``rank`` runs without numpy. They are registered here, not imported
+# inside the commands, because perfbench/tracer.py looks each of them up in
+# sys.modules as soon as this module is imported; once the tracer reads
+# the program's own stage records, these can become imports in the commands.
+panel, windows, network, spectral, pipeline, charts = map(
+    _lazy, ("panel", "windows", "network", "spectral", "pipeline", "charts")
 )
 
 
@@ -88,36 +101,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> StudyConfig:
+def _config_from_args(args: argparse.Namespace) -> reports.StudyConfig:
     """Config-file values overridden by the flags this subcommand takes."""
     flags = vars(args)
     periods = flags.get("periods")
-    return config_from_sources(
-        load_config_file(args.config) if args.config else None,
+    return reports.config_from_sources(
+        reports.load_config_file(args.config) if args.config else None,
         input_path=flags.get("input"),
         out_dir=args.out,
         alpha=flags.get("alpha"),
         min_obs=flags.get("min_obs"),
-        sub_periods=parse_periods(periods) if periods else None,
+        sub_periods=reports.parse_periods(periods) if periods else None,
         charts=flags.get("charts"),
     )
 
 
-def _cmd_build(config: StudyConfig) -> int:
-    panel = load_returns(config.input_path, delimiter=config.delimiter)
-    networks, _ = build_networks(panel, config)
+def _cmd_build(config: reports.StudyConfig) -> int:
+    returns = panel.load_returns(config.input_path, delimiter=config.delimiter)
+    networks, _ = pipeline.build_networks(returns, config)
     if not networks:
         raise RiskNetError("no non-degenerate window in the input")
-    write_networks(networks, config.out_dir)
+    pipeline.write_networks(networks, config.out_dir)
     print(f"wrote {len(networks)} networks under {config.out_dir / 'networks'}")
     return 0
 
 
-def _cmd_analyze(config: StudyConfig) -> int:
-    result = run_study(config)
-    write_study(result, config, config.out_dir)
+def _cmd_analyze(config: reports.StudyConfig) -> int:
+    result = pipeline.run_study(config)
+    pipeline.write_study(result, config, config.out_dir)
     if config.charts:
-        files = emit_charts(
+        files = charts.emit_charts(
             result.reports, result.networks, config.sub_periods, config.out_dir
         )
         print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
@@ -129,18 +142,18 @@ def _cmd_analyze(config: StudyConfig) -> int:
     return 0
 
 
-def _cmd_rank(config: StudyConfig) -> int:
-    reports = read_reports(config.out_dir)
-    tables = rank_firms(reports, config.sub_periods)
-    paths = write_rankings(tables, config.out_dir)
+def _cmd_rank(config: reports.StudyConfig) -> int:
+    saved = reports.read_reports(config.out_dir)
+    tables = reports.rank_firms(saved, config.sub_periods)
+    paths = reports.write_rankings(tables, config.out_dir)
     print(f"wrote {len(paths)} ranking tables under {config.out_dir / 'rankings'}")
     return 0
 
 
-def _cmd_export_charts(config: StudyConfig) -> int:
-    reports = read_reports(config.out_dir)
-    networks = read_networks(config.out_dir)
-    files = emit_charts(reports, networks, config.sub_periods, config.out_dir)
+def _cmd_export_charts(config: reports.StudyConfig) -> int:
+    saved = reports.read_reports(config.out_dir)
+    networks = pipeline.read_networks(config.out_dir)
+    files = charts.emit_charts(saved, networks, config.sub_periods, config.out_dir)
     print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     return 0
 

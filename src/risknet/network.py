@@ -19,15 +19,15 @@ raise ValueError; data-driven failures raise the package's typed errors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import IO
 
 import numpy as np
 
-from .errors import EstimationError, NetworkFormatError, RiskNetError, WindowError
+from .errors import EstimationError, NetworkFormatError, WindowError
+from .reports import _check_types, _distinct, _field, _write_records
 from .windows import WindowSlice
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -292,10 +290,10 @@ def network_from_dict(payload: dict) -> RiskNetwork:
     """The network of a saved payload, with schema validation.
 
     Nothing is coerced (:func:`_field`): ``window_id`` and ``n`` must be
-    integers, ``label`` a string and ``firms`` a list of strings. Each edge
-    must be a list ``[i, j, weight]``: integers 0 <= i < j < n (a bool,
-    1.0 or "2" is refused, not truncated), a numeric weight in (0, 1], and
-    no pair twice. An error names the first bad entry.
+    integers, ``label`` a string and ``firms`` a list of strings, none
+    twice. Each edge must be a list ``[i, j, weight]``: integers 0 <= i <
+    j < n (a bool, 1.0 or "2" is refused, not truncated), a numeric weight
+    in (0, 1], and no pair twice. An error names the first bad entry.
     """
     try:
         version = _field(payload, "schema_version", "an integer")
@@ -304,7 +302,7 @@ def network_from_dict(payload: dict) -> RiskNetwork:
         window_id = _field(payload, "window_id", "an integer")
         label = _field(payload, "label", "a string")
         n = _field(payload, "n", "an integer")
-        firms = tuple(_field(payload, "firms", "a list of strings"))
+        firms = tuple(_distinct("firms", _field(payload, "firms", "a list of strings")))
         edges = payload["edges"]
     except (KeyError, TypeError) as exc:
         raise NetworkFormatError(f"bad network payload: {exc}") from None
@@ -360,95 +358,3 @@ def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         at = repeats.min()
         raise NetworkFormatError(f"duplicate edge ({rows[at]}, {cols[at]})")
     return rows, cols, weights
-
-
-def _write_records(
-    target: str | Path | IO[str], header: dict, key: str, template: str, columns: Iterable
-) -> None:
-    """Write ``header`` plus ``key``, a list of records, byte for byte as
-    ``json.dump(..., indent=2, allow_nan=False)`` and a newline would. Only
-    the header meets the json module's pure-Python encoder (a NaN or an
-    infinite float in it raises ``ValueError``, and nothing is written):
-    record k is ``template`` with its ``{}`` slots filled by the k-th JSON
-    text of each column, and one join makes them all."""
-    head = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
-    columns = [list(column) for column in columns]
-    fixed = template.split("{}")  # the text before, between and after the slots
-    slots, count = len(columns), len(columns[0])
-    # value j of record k at 2 * (k * slots + j) + 1, the text before it just
-    # ahead; between two records that text joins the end of one to the next
-    parts = [f"{fixed[-1]},\n{fixed[0]}"] * (2 * slots * count)
-    for j, column in enumerate(columns):
-        parts[2 * j + 1 :: 2 * slots] = column
-        if j:
-            parts[2 * j :: 2 * slots] = [fixed[j]] * count
-    body = f"[\n{fixed[0]}{''.join(parts[1:])}{fixed[-1]}\n  ]" if count else "[]"
-    text = f'{head},\n  "{key}": {body}\n}}\n'
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        target.write(text)
-
-
-# What json.load gives each kind of saved value, by the words that name it
-# in an error: exact types, so a bool is not an integer. A "list of" kind
-# holds the types of the list's entries.
-_KINDS = {
-    "an integer": {int},
-    "an integer or null": {int, type(None)},
-    "a number": {int, float},
-    "a number or 'inf'": {int, float},  # "inf" is read as inf before the check
-    "a string": {str},
-    "a string or null": {str, type(None)},
-    "a list": {list},
-    "a list of strings": {str},
-}
-
-
-def _check_types(records: Sequence, columns: Sequence, types: set, message: str) -> None:
-    """Raise ``NetworkFormatError(message.format(record))`` for the first
-    record whose value in one of ``columns`` has a type outside ``types``;
-    the records are walked only when a column's set of types is wrong."""
-    if set().union(*(map(type, column) for column in columns)) <= types:
-        return
-    at = next(k for k, row in enumerate(zip(*columns)) if not set(map(type, row)) <= types)
-    raise NetworkFormatError(message.format(records[at]))
-
-
-def _checked(key: str, values: list, kind: str) -> list:
-    """``values`` of ``key``, once each is of ``kind``; else the error
-    ``<key> must be <kind>, got <the first value that is not>``."""
-    _check_types(values, (values,), _KINDS[kind], f"{key} must be {kind}, got {{!r}}")
-    return values
-
-
-def _field(payload: dict, key: str, kind: str):
-    """``payload[key]``, once it is of ``kind``; a list, then each of its
-    entries, for a "list of" kind."""
-    value = payload[key]
-    if kind.startswith("a list of "):
-        return _checked(key, _checked(key, [value], "a list")[0], kind)
-    return _checked(key, [value], kind)[0]
-
-
-def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
-    """``parse`` of the payload of a saved network or report, from a UTF-8
-    file or a stream; where ``source`` is a path, every error names it."""
-    if not isinstance(source, (str, Path)):
-        try:
-            payload = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"invalid JSON: {exc}") from None
-        return parse(payload)
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
-    try:
-        return parse(payload)
-    except RiskNetError as exc:
-        raise type(exc)(f"{source}: {exc}") from None

@@ -1,0 +1,608 @@
+"""Study configuration, sub-periods, saved reports and period rankings:
+the read side of a study, which imports no numpy, so ``risknet rank`` needs
+only this module. Firms are ranked per sub-period (and over the whole
+range) by their average removal impact across the windows where they were
+present, subject to a minimum-coverage rule, with quartiles. Saved networks
+and reports share one codec: one record writer and one exact-type checker.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import logging
+import math
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import IO, Callable, Iterable, Sequence, TypeVar
+
+from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
+
+__all__ = [
+    "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport", "WeightBand",
+    "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file", "rank_firms",
+    "period_slug", "read_reports",
+]
+
+log = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
+
+REPORT_SCHEMA_VERSION = 1
+ALL_PERIODS = "All periods"
+COVERAGE_FLOOR = 0.25
+
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+
+
+def _parse_month(text: str) -> tuple[int, int]:
+    m = _MONTH_RE.match(text.strip())
+    if not m:
+        raise ConfigError(f"malformed month {text!r}, expected YYYY-MM")
+    year, month = int(m.group(1)), int(m.group(2))
+    if not 1 <= month <= 12:
+        raise ConfigError(f"month out of range in {text!r}")
+    return year, month
+
+
+@dataclass(frozen=True)
+class SubPeriod:
+    """Named inclusive month range, e.g. Lehman 2008-01..2009-12."""
+
+    label: str
+    start: tuple[int, int]
+    end: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if not self.label.strip():
+            raise ConfigError("sub-period label must not be blank")
+        if self.start > self.end:
+            raise ConfigError(
+                f"sub-period {self.label!r}: start {self.start} after end {self.end}"
+            )
+
+    def contains(self, label: str) -> bool:
+        return self.start <= _parse_month(label) <= self.end
+
+
+DEFAULT_SUB_PERIODS: tuple[SubPeriod, ...] = (
+    SubPeriod("Pre-crisis", (2003, 1), (2007, 12)),
+    SubPeriod("Lehman", (2008, 1), (2009, 12)),
+    SubPeriod("Sovereign", (2010, 1), (2012, 12)),
+    SubPeriod("Post-crisis", (2013, 1), (2015, 12)),
+)
+
+
+def parse_periods(text: str) -> tuple[SubPeriod, ...]:
+    """Parse 'Name=YYYY-MM..YYYY-MM;Name=...' into sub-periods."""
+    periods = []
+    for piece in text.split(";"):
+        piece = piece.strip()
+        if not piece:
+            continue
+        if "=" not in piece:
+            raise ConfigError(f"malformed period {piece!r}, expected Name=START..END")
+        name, _, span = piece.partition("=")
+        if ".." not in span:
+            raise ConfigError(f"malformed period range {span!r}, expected START..END")
+        start, _, end = span.partition("..")
+        periods.append(SubPeriod(name.strip(), _parse_month(start), _parse_month(end)))
+    if not periods:
+        raise ConfigError("no sub-periods given")
+    return tuple(periods)
+
+
+def period_slug(label: str) -> str:
+    """File-name form of a period label."""
+    slug = re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
+    if not slug:
+        raise ConfigError(f"period label {label!r} has no usable characters")
+    return slug
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """Everything a study run needs besides the panel itself."""
+
+    input_path: Path | None = None
+    out_dir: Path | None = None
+    alpha: float = 0.05
+    min_obs: int = 15
+    delimiter: str = ","
+    sub_periods: tuple[SubPeriod, ...] = DEFAULT_SUB_PERIODS
+    charts: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 0.5:
+            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        if self.min_obs < 1:
+            raise ConfigError(f"min_obs must be positive, got {self.min_obs}")
+        ordered = sorted(self.sub_periods, key=lambda p: p.start)
+        if tuple(ordered) != self.sub_periods:
+            raise ConfigError("sub-periods must be given in chronological order")
+        for left, right in zip(ordered, ordered[1:]):
+            if left.end >= right.start:
+                raise ConfigError(
+                    f"sub-periods {left.label!r} and {right.label!r} overlap"
+                )
+        labels = [p.label for p in self.sub_periods] + [ALL_PERIODS]
+        slugs = [period_slug(x) for x in labels]
+        if len(set(slugs)) != len(slugs):
+            raise ConfigError(f"period labels collide after slugging: {labels}")
+
+
+_CONFIG_KEYS = ("min_obs", "confidence", "delimiter", "periods")
+
+
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Read a key=value config file ('#' starts a comment).
+
+    Documented keys: min_obs, confidence (the VaR level; alpha is its
+    complement), delimiter, periods.
+    """
+    values: dict[str, str] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(
+                f"{path}:{line_no}: unknown key {key!r}, expected one of {_CONFIG_KEYS}"
+            )
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
+def config_from_sources(
+    file_values: dict[str, str] | None = None, **overrides
+) -> StudyConfig:
+    """Defaults, overridden by config-file values, overridden by keyword
+    arguments (the CLI's flags)."""
+    kwargs: dict = {}
+    file_values = file_values or {}
+    if "confidence" in file_values:
+        try:
+            confidence = float(file_values["confidence"])
+        except ValueError:
+            raise ConfigError(
+                f"confidence must be a number, got {file_values['confidence']!r}"
+            ) from None
+        if not 0.5 < confidence < 1.0:
+            raise ConfigError(f"confidence must lie in (0.5, 1), got {confidence}")
+        kwargs["alpha"] = 1.0 - confidence
+    if "min_obs" in file_values:
+        try:
+            kwargs["min_obs"] = int(file_values["min_obs"])
+        except ValueError:
+            raise ConfigError(
+                f"min_obs must be an integer, got {file_values['min_obs']!r}"
+            ) from None
+    if "delimiter" in file_values:
+        kwargs["delimiter"] = file_values["delimiter"]
+    if "periods" in file_values:
+        kwargs["sub_periods"] = parse_periods(file_values["periods"])
+    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    return StudyConfig(**kwargs)
+
+
+@dataclass(frozen=True)
+class RankingRow:
+    firm: str
+    mean_werc: float
+    rank: int
+    quartile: int
+    coverage: int
+
+
+@dataclass(frozen=True)
+class RankingTable:
+    """Firms of one period ranked by average removal impact.
+
+    ``excluded`` lists (firm, coverage) pairs that fell below the coverage
+    floor; ``window_count`` is the number of analyzed windows in the
+    period."""
+
+    period: str
+    window_count: int
+    rows: tuple[RankingRow, ...]
+    excluded: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class WeightBand:
+    """Positive-weight distribution summary for one group of networks."""
+
+    group: str
+    count: int
+    mean: float
+    q05: float
+    q95: float
+
+
+@dataclass(frozen=True)
+class RobustnessReport:
+    """Per-window robustness summary produced by the pipeline."""
+
+    window_id: int
+    label: str
+    firms: tuple[str, ...]
+    analyzed_firms: tuple[str, ...]
+    component_note: str | None
+    density: float
+    kirchhoff: float
+    normalized_kirchhoff: float
+    werc: tuple[float, ...]
+    clustering: tuple[float, ...]
+    strength: tuple[float, ...]
+    surviving_order: tuple[int | None, ...]
+
+    def __post_init__(self) -> None:
+        """Refuse what no analyzed window yields: NaN, a non-finite density,
+        Kirchhoff index, clustering or strength, and a removal impact that
+        is -inf or disagrees with its surviving order (an integer, not a
+        bool, exactly where the impact is +inf)."""
+        values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
+        if any(math.isnan(v) for v in values):
+            raise NumericalError(
+                f"window {self.label}: NaN in Kirchhoff index or removal impacts"
+            )
+        finite = (
+            self.density, self.kirchhoff, self.normalized_kirchhoff,
+            *self.clustering, *self.strength,
+        )
+        if not all(map(math.isfinite, finite)):
+            raise NumericalError(
+                f"window {self.label}: non-finite density, Kirchhoff index, "
+                "clustering or strength"
+            )
+        for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
+            if impact == -math.inf or (impact == math.inf) != (type(order) is int):
+                raise NumericalError(
+                    f"window {self.label}: firm {firm} has removal impact {impact} "
+                    f"with surviving order {order}"
+                )
+
+
+
+def rank_firms(
+    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod]
+) -> tuple[RankingTable, ...]:
+    """Period tables of firms ranked by mean removal impact.
+
+    A firm enters a period's table when it was present in at least a
+    quarter of the period's analyzed windows. Firms whose removal ever
+    disconnected a window rank first (+inf mean), ordered by how often
+    they disconnect, then by the smaller average surviving component,
+    then by identifier; finite means sort descending with identifier
+    tie-breaks. The first quartile is the top ceil(#firms / 4).
+    """
+    tables = []
+    for period in list(sub_periods) + [None]:
+        if period is None:
+            label = ALL_PERIODS
+            members = list(reports)
+        else:
+            label = period.label
+            members = [r for r in reports if period.contains(r.label)]
+        total = len(members)
+        stats: dict[str, dict] = {}
+        for report in members:
+            for firm, value, survivor in zip(
+                report.analyzed_firms, report.werc, report.surviving_order
+            ):
+                entry = stats.setdefault(firm, {"values": [], "infs": 0, "survivors": []})
+                entry["values"].append(value)
+                if math.isinf(value):
+                    entry["infs"] += 1
+                    entry["survivors"].append(int(survivor))
+        included = []
+        excluded = []
+        for firm in sorted(stats):
+            entry = stats[firm]
+            coverage = len(entry["values"])
+            if coverage < COVERAGE_FLOOR * total:
+                excluded.append((firm, coverage))
+                continue
+            if entry["infs"]:
+                mean = math.inf
+                key = (0, -entry["infs"], sum(entry["survivors"]) / entry["infs"], firm)
+            else:
+                mean = sum(entry["values"]) / coverage
+                key = (1, -mean, 0.0, firm)
+            included.append((key, firm, mean, coverage))
+        included.sort(key=lambda item: item[0])
+        chunk = math.ceil(len(included) / 4) if included else 1
+        rows = tuple(
+            RankingRow(
+                firm=firm,
+                mean_werc=mean,
+                rank=position,
+                quartile=min(4, 1 + (position - 1) // chunk),
+                coverage=coverage,
+            )
+            for position, (_, firm, mean, coverage) in enumerate(included, start=1)
+        )
+        for firm, coverage in excluded:
+            log.info(
+                "%s: %s excluded (present in %d of %d windows)", label, firm, coverage, total
+            )
+        tables.append(
+            RankingTable(period=label, window_count=total, rows=rows, excluded=tuple(excluded))
+        )
+    return tuple(tables)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf"
+        return repr(value)
+    return str(value)
+
+
+def _write_csv(target: IO[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(cell) for cell in row])
+
+
+def _write_records(
+    target: str | Path | IO[str], header: dict, key: str, template: str, columns: Iterable
+) -> None:
+    """Write ``header`` plus ``key``, a list of records, byte for byte as
+    ``json.dump(..., indent=2, allow_nan=False)`` and a newline would. Only
+    the header meets the json module's pure-Python encoder (a NaN or an
+    infinite float in it raises ``ValueError``, and nothing is written):
+    record k is ``template`` with its ``{}`` slots filled by the k-th JSON
+    text of each column, and one join makes them all."""
+    head = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
+    columns = [list(column) for column in columns]
+    fixed = template.split("{}")  # the text before, between and after the slots
+    slots, count = len(columns), len(columns[0])
+    # value j of record k at 2 * (k * slots + j) + 1, the text before it just
+    # ahead; between two records that text joins the end of one to the next
+    parts = [f"{fixed[-1]},\n{fixed[0]}"] * (2 * slots * count)
+    for j, column in enumerate(columns):
+        parts[2 * j + 1 :: 2 * slots] = column
+        if j:
+            parts[2 * j :: 2 * slots] = [fixed[j]] * count
+    body = f"[\n{fixed[0]}{''.join(parts[1:])}{fixed[-1]}\n  ]" if count else "[]"
+    text = f'{head},\n  "{key}": {body}\n}}\n'
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    else:
+        target.write(text)
+
+
+# What json.load gives each kind of saved value, by the words that name it
+# in an error: exact types, so a bool is not an integer. A "list of" kind
+# holds the types of the list's entries.
+_KINDS = {
+    "an integer": {int},
+    "an integer or null": {int, type(None)},
+    "a number": {int, float},
+    "a number or 'inf'": {int, float},  # "inf" is read as inf before the check
+    "a string": {str},
+    "a string or null": {str, type(None)},
+    "a list": {list},
+    "a list of strings": {str},
+}
+
+
+def _check_types(records: Sequence, columns: Sequence, types: set, message: str) -> None:
+    """Raise ``NetworkFormatError(message.format(record))`` for the first
+    record whose value in one of ``columns`` has a type outside ``types``;
+    the records are walked only when a column's set of types is wrong."""
+    if set().union(*(map(type, column) for column in columns)) <= types:
+        return
+    at = next(k for k, row in enumerate(zip(*columns)) if not set(map(type, row)) <= types)
+    raise NetworkFormatError(message.format(records[at]))
+
+
+def _checked(key: str, values: list, kind: str) -> list:
+    """``values`` of ``key``, once each is of ``kind``; else the error
+    ``<key> must be <kind>, got <the first value that is not>``."""
+    _check_types(values, (values,), _KINDS[kind], f"{key} must be {kind}, got {{!r}}")
+    return values
+
+
+def _field(payload: dict, key: str, kind: str):
+    """``payload[key]``, once it is of ``kind``; a list, then each of its
+    entries, for a "list of" kind."""
+    value = payload[key]
+    if kind.startswith("a list of "):
+        return _checked(key, _checked(key, [value], "a list")[0], kind)
+    return _checked(key, [value], kind)[0]
+
+
+def _distinct(key: str, names: list) -> list:
+    """``names``, the ``key`` of a saved file, once none of them repeats."""
+    if len(set(names)) < len(names):
+        name = next(x for k, x in enumerate(names) if x in names[:k])
+        raise NetworkFormatError(f"{key} repeats {name!r}")
+    return names
+
+
+def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
+    """``parse`` of the payload of a saved network or report, from a UTF-8
+    file or a stream; where ``source`` is a path, every error names it."""
+    if not isinstance(source, (str, Path)):
+        try:
+            payload = json.load(source)
+        except json.JSONDecodeError as exc:
+            raise NetworkFormatError(f"invalid JSON: {exc}") from None
+        return parse(payload)
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
+    try:
+        return parse(payload)
+    except RiskNetError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
+
+
+def _report_header(report: RobustnessReport) -> dict:
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "window_id": report.window_id,
+        "label": report.label,
+        "firms": list(report.firms),
+        "component_note": report.component_note,
+        "density": report.density,
+        "kirchhoff": report.kirchhoff,
+        "normalized_kirchhoff": report.normalized_kirchhoff,
+    }
+
+
+def report_to_dict(report: RobustnessReport) -> dict:
+    return {
+        **_report_header(report),
+        "vertices": [
+            {
+                "firm": firm,
+                "werc": "inf" if w == math.inf else w,
+                "clustering": c,
+                "strength": s,
+                "surviving_order": survivor,
+            }
+            for firm, w, c, s, survivor in zip(
+                report.analyzed_firms,
+                report.werc,
+                report.clustering,
+                report.strength,
+                report.surviving_order,
+            )
+        ],
+    }
+
+
+def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
+    """``values`` of ``key`` as floats, once each is a JSON number, or with
+    ``inf`` also the string "inf"."""
+    if inf:
+        values = [math.inf if x == "inf" else x for x in values]
+    return tuple(map(float, _checked(key, values, "a number or 'inf'" if inf else "a number")))
+
+
+def report_from_dict(payload: dict) -> RobustnessReport:
+    """Inverse of :func:`report_to_dict`, with schema validation by the
+    saved-file checker, column by column: nothing is coerced. Numbers
+    must be JSON numbers, and ``werc`` and the Kirchhoff indices may be
+    "inf"; ``window_id`` and each surviving order must be integers (2.7 is
+    refused, not truncated), and a surviving order may be null; ``label``
+    and each ``firm`` must be strings, ``component_note`` a string or null
+    and ``firms`` a list of strings. No name repeats in ``firms``, and the
+    vertices' firms are some of ``firms``, in their order, each once."""
+    try:
+        version = _field(payload, "schema_version", "an integer")
+        if version != REPORT_SCHEMA_VERSION:
+            raise NetworkFormatError(f"unsupported report schema version {version!r}")
+        vertices = _field(payload, "vertices", "a list")
+        column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
+        firms = _distinct("firms", _field(payload, "firms", "a list of strings"))
+        analyzed = _distinct("firm", _checked("firm", column["firm"], "a string"))
+        listed = iter(firms)
+        stray = next((firm for firm in analyzed if firm not in listed), None)
+        if stray is not None:
+            raise NetworkFormatError(f"firm {stray!r} is not in firms, or out of their order")
+        return RobustnessReport(
+            window_id=_field(payload, "window_id", "an integer"),
+            label=_field(payload, "label", "a string"),
+            firms=tuple(firms),
+            analyzed_firms=tuple(analyzed),
+            component_note=_field(payload, "component_note", "a string or null"),
+            density=_numbers("density", [payload["density"]])[0],
+            kirchhoff=_numbers("kirchhoff", [payload["kirchhoff"]], inf=True)[0],
+            normalized_kirchhoff=_numbers(
+                "normalized_kirchhoff", [payload["normalized_kirchhoff"]], inf=True
+            )[0],
+            werc=_numbers("werc", column["werc"], inf=True),
+            clustering=_numbers("clustering", column["clustering"]),
+            strength=_numbers("strength", column["strength"]),
+            surviving_order=tuple(
+                _checked("surviving_order", column["surviving_order"], "an integer or null")
+            ),
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise NetworkFormatError(f"bad report payload: {exc}") from None
+
+
+_VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
+
+# One vertex in the layout ``json.dump(..., indent=2)`` gives it.
+_VERTEX = (
+    '    {\n      "firm": {},\n      "werc": {},\n      "clustering": {},\n'
+    '      "strength": {},\n      "surviving_order": {}\n    }'
+)
+
+
+def _json_items(values: Iterable) -> list[str]:
+    """The JSON text of each of ``values`` (numbers, null or "inf"), as
+    ``json.dumps(..., allow_nan=False)`` writes it, from one call of the
+    json module's C encoder: no such text holds ", ". A NaN or infinite
+    float raises ``ValueError``."""
+    text = json.dumps(list(values), allow_nan=False)[1:-1]
+    return text.split(", ") if text else []
+
+
+def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None:
+    """Write ``report_to_dict(report)`` by :func:`_write_records`. A NaN
+    or infinite float, other than an infinite removal impact, raises
+    ``ValueError``."""
+    werc = ["inf" if w == math.inf else w for w in report.werc]
+    values = map(_json_items, (werc, report.clustering, report.strength, report.surviving_order))
+    firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
+    _write_records(target, _report_header(report), "vertices", _VERTEX, (firms, *values))
+
+
+def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
+    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k."""
+    directory = Path(out_dir) / sub
+    if not directory.is_dir():
+        raise NetworkFormatError(f"no {sub} directory under {out_dir}")
+    found = []
+    for path in directory.glob("window_*.json"):
+        suffix = path.stem.split("_", 1)[1]
+        if suffix.isdigit():
+            found.append((int(suffix), path))
+    if not found:
+        # "reports" -> "no report files"
+        raise NetworkFormatError(f"no {sub[:-1]} files in {directory}")
+    return tuple(read_json(path, parse) for _, path in sorted(found))
+
+
+def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
+    return _read_windows(out_dir, "reports", report_from_dict)
+
+
+def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> list[Path]:
+    directory = Path(out_dir) / "rankings"
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for table in rankings:
+        path = directory / f"{period_slug(table.period)}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write_csv(
+                handle,
+                ("firm", "mean_werc", "rank", "quartile", "coverage"),
+                ((r.firm, r.mean_werc, r.rank, r.quartile, r.coverage) for r in table.rows),
+            )
+        paths.append(path)
+    return paths

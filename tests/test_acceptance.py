@@ -27,7 +27,8 @@ from risknet.measures import (
     risk_profile,
 )
 from risknet.panel import save_returns
-from risknet.pipeline import ALL_PERIODS, StudyConfig, run_study, write_study
+from risknet.pipeline import run_study, write_study
+from risknet.reports import ALL_PERIODS, StudyConfig
 from risknet.spectral import (
     barrat_clustering,
     effective_resistance_oracle,

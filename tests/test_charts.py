@@ -8,7 +8,8 @@ import pytest
 
 from risknet.charts import band_chart, emit_charts, line_chart
 from risknet.errors import RiskNetError
-from risknet.pipeline import StudyConfig, SubPeriod, WeightBand, analyze_panel
+from risknet.pipeline import analyze_panel
+from risknet.reports import StudyConfig, SubPeriod, WeightBand
 from risknet.synthetic import generate_panel
 
 

@@ -261,6 +261,25 @@ def set_field(key, value):
     return edit
 
 
+def repeat_vertex_firm(payload):
+    # typed right, but rank would count F000 twice in one window
+    payload["firms"] = ["A", "B"]
+    payload["vertices"][1]["firm"] = payload["vertices"][0]["firm"]
+
+
+def drop_first_firm(payload):
+    del payload["firms"][0]
+
+
+def swap_vertex_firms(payload):
+    first, second = payload["vertices"][:2]
+    first["firm"], second["firm"] = second["firm"], first["firm"]
+
+
+def repeat_firm(payload):
+    payload["firms"][1] = payload["firms"][0]
+
+
 @pytest.mark.parametrize(
     "edit, shown",
     [
@@ -281,11 +300,17 @@ def set_field(key, value):
         (set_field("label", 200501), "label must be a string, got 200501"),
         (set_field("component_note", 3.5), "component_note must be a string or null, got 3.5"),
         (set_field("firms", "AB"), "firms must be a list, got 'AB'"),
+        # typed right, but the lists disagree: rank would count a firm twice
+        (repeat_vertex_firm, "firm repeats 'F000'"),
+        (drop_first_firm, "firm 'F000' is not in firms, or out of their order"),
+        (swap_vertex_firms, "firm 'F000' is not in firms, or out of their order"),
+        (repeat_firm, "firms repeats 'F000'"),
     ],
     ids=[
         "order-float", "order-bool", "density-string", "clustering-string",
         "strength-bool", "werc-bool", "window-string", "window-float", "density-huge",
         "firm-int", "label-int", "note-float", "firms-string",
+        "firm-repeat", "firm-unlisted", "firm-order", "firms-repeat",
     ],
 )
 def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
@@ -312,8 +337,9 @@ def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys
         # str() would read these as label "200501" and firms A, B and C
         (set_field("label", 200501), "label must be a string, got 200501"),
         (set_field("firms", "ABC"), "firms must be a list, got 'ABC'"),
+        (repeat_firm, "firms repeats 'F000'"),
     ],
-    ids=["window-float", "window-string", "n-float", "label-int", "firms-string"],
+    ids=["window-float", "window-string", "n-float", "label-int", "firms-string", "firms-repeat"],
 )
 def test_saved_network_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
     out = tmp_path / "out"
@@ -384,11 +410,23 @@ def test_build_with_no_usable_window_fails_cleanly(panel_csv, tmp_path, capsys):
     assert "no non-degenerate window" in payload["message"]
 
 
+def run_fresh(probe: str, *args: str, env: dict | None = None) -> list[str]:
+    """The words ``probe`` prints, run as a script in a new interpreter."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = str(Path(risknet.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
 _THREAD_PROBE = """
 import os, sys
 import risknet
 assert "numpy" not in sys.modules
 import risknet.cli
+risknet.cli.pipeline.run_study  # the study commands' path: numpy, and OpenBLAS with it
+assert "numpy" in sys.modules
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(os.environ["OPENBLAS_NUM_THREADS"], threads)
 """
@@ -401,11 +439,50 @@ def test_command_defaults_to_one_blas_thread(preset):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    env["PYTHONPATH"] = str(Path(risknet.__file__).parents[1])
-    probe = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    setting, threads = probe.stdout.split()
+    setting, threads = run_fresh(_THREAD_PROBE, env=env)
     assert setting == (preset or "1")
     if preset is None and threads != "None":
         assert threads == "1"  # no BLAS worker thread in the command's process
+
+
+_IMPORT_PROBE = """
+import sys
+import risknet.cli
+names = ("panel", "windows", "network", "spectral", "pipeline", "charts")
+print(all(f"risknet.{name}" in sys.modules for name in names), "numpy" in sys.modules)
+"""
+
+_REUSE_PROBE = """
+import sys
+import risknet.spectral
+first = sys.modules["risknet.spectral"]
+import risknet.cli
+print(sys.modules["risknet.spectral"] is first, risknet.cli.pipeline.werc_all is first.werc_all)
+"""
+
+
+def test_cli_import_registers_every_module_without_numpy():
+    """``import risknet.cli`` puts the command modules in ``sys.modules``
+    (a caller may look them up there) and runs none that loads numpy."""
+    assert run_fresh(_IMPORT_PROBE) == ["True", "False"]
+
+
+def test_cli_import_keeps_a_module_already_imported():
+    """One copy of each module, so a patch on it reaches the commands."""
+    assert run_fresh(_REUSE_PROBE) == ["True", "True"]
+
+
+_RANK_PROBE = """
+import sys
+from risknet.cli import main
+print(main(["rank", "--out", sys.argv[1]]), "numpy" in sys.modules)
+"""
+
+
+def test_rank_runs_without_numpy(panel_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    expected = (out / "rankings" / "all-periods.csv").read_bytes()
+    (out / "rankings" / "all-periods.csv").unlink()
+    assert run_fresh(_RANK_PROBE, str(out))[-2:] == ["0", "False"]
+    assert (out / "rankings" / "all-periods.csv").read_bytes() == expected

@@ -31,11 +31,11 @@ from risknet.network import (
     build_directed,
     density,
     network_from_dict,
-    read_json,
     symmetrize,
     write_network,
 )
 from risknet.panel import panel_from_rows
+from risknet.reports import read_json
 from risknet.windows import WindowSlice, window_panel
 
 
@@ -423,7 +423,7 @@ def networks(draw) -> RiskNetwork:
         for j in range(i + 1, n):
             if layout == "full" or (layout == "some" and draw(st.booleans())):
                 w[i, j] = w[j, i] = draw(WEIGHTS)
-    firms = tuple(draw(st.lists(NAMES, min_size=n, max_size=n)))
+    firms = tuple(draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)))
     return RiskNetwork(draw(st.integers(0, 10**6)), draw(NAMES), firms, w)
 
 

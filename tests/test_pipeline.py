@@ -20,27 +20,29 @@ from risknet.errors import ConfigError, NetworkFormatError, NumericalError, Wind
 from risknet.network import DirectedWeights, build_directed
 from risknet.panel import panel_from_rows
 from risknet.pipeline import (
+    analyze_panel,
+    read_networks,
+    timeseries_rows,
+    weight_distribution_stats,
+    window_report,
+    write_study,
+    write_timeseries,
+)
+from risknet.reports import (
     ALL_PERIODS,
     RankingRow,
     RobustnessReport,
     StudyConfig,
     SubPeriod,
-    analyze_panel,
     config_from_sources,
     load_config_file,
     parse_periods,
     period_slug,
     rank_firms,
-    read_networks,
     read_reports,
     report_from_dict,
     report_to_dict,
-    timeseries_rows,
-    weight_distribution_stats,
-    window_report,
     write_rankings,
-    write_study,
-    write_timeseries,
 )
 from risknet.synthetic import generate_panel, weekday_dates
 from risknet.windows import window_panel
@@ -389,7 +391,7 @@ FLOATS = st.one_of(
 def reports(draw) -> RobustnessReport:
     """Reports of 0-8 analyzed firms among 0-10, each with a finite
     removal impact or an infinite one and its surviving order."""
-    firms = draw(st.lists(NAMES, max_size=10))
+    firms = draw(st.lists(NAMES, max_size=10, unique=True))
     analyzed = [f for f in firms if draw(st.booleans())]
     cut = [draw(st.booleans()) for _ in analyzed]
     return RobustnessReport(

@@ -39,11 +39,13 @@ SUBMODULE_NAMES = {
     },
     "panel": {"ReturnPanel", "load_returns", "save_returns"},
     "pipeline": {
-        "SubPeriod", "StudyConfig", "StudyResult", "RankingRow", "RankingTable",
-        "RobustnessReport", "WeightBand", "DEFAULT_SUB_PERIODS", "ALL_PERIODS",
-        "parse_periods", "load_config_file", "run_study", "build_networks", "analyze_panel",
-        "window_report", "rank_firms", "weight_distribution_stats", "timeseries_rows",
-        "period_slug", "write_study", "read_reports", "read_networks",
+        "StudyResult", "run_study", "build_networks", "analyze_panel", "window_report",
+        "weight_distribution_stats", "timeseries_rows", "write_study", "read_networks",
+    },
+    "reports": {
+        "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
+        "WeightBand", "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods",
+        "load_config_file", "rank_firms", "period_slug", "read_reports",
     },
     "spectral": {
         "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
