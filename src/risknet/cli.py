@@ -111,7 +111,7 @@ def _config_from_args(args: argparse.Namespace) -> reports.StudyConfig:
         out_dir=args.out,
         alpha=flags.get("alpha"),
         min_obs=flags.get("min_obs"),
-        sub_periods=reports.parse_periods(periods) if periods else None,
+        sub_periods=reports.parse_periods(periods) if periods is not None else None,
         charts=flags.get("charts"),
     )
 

@@ -25,12 +25,6 @@ class EstimationError(RiskNetError):
     non-finite values, bad tail level)."""
 
 
-class DegeneratePairError(RiskNetError):
-    """Impact denominator is zero or negative for a firm pair; the pair
-    carries no usable tail signal and its weight is forced to zero
-    downstream."""
-
-
 class ConfigError(RiskNetError):
     """Invalid study configuration (bad key, malformed period range,
     overlapping sub-periods) or command line (unknown or missing flag)."""

@@ -118,6 +118,8 @@ class StudyConfig:
             raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if self.min_obs < 1:
             raise ConfigError(f"min_obs must be positive, got {self.min_obs}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         ordered = sorted(self.sub_periods, key=lambda p: p.start)
         if tuple(ordered) != self.sub_periods:
             raise ConfigError("sub-periods must be given in chronological order")
@@ -458,41 +460,6 @@ def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
         raise type(exc)(f"{source}: {exc}") from None
 
 
-def _report_header(report: RobustnessReport) -> dict:
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "window_id": report.window_id,
-        "label": report.label,
-        "firms": list(report.firms),
-        "component_note": report.component_note,
-        "density": report.density,
-        "kirchhoff": report.kirchhoff,
-        "normalized_kirchhoff": report.normalized_kirchhoff,
-    }
-
-
-def report_to_dict(report: RobustnessReport) -> dict:
-    return {
-        **_report_header(report),
-        "vertices": [
-            {
-                "firm": firm,
-                "werc": "inf" if w == math.inf else w,
-                "clustering": c,
-                "strength": s,
-                "surviving_order": survivor,
-            }
-            for firm, w, c, s, survivor in zip(
-                report.analyzed_firms,
-                report.werc,
-                report.clustering,
-                report.strength,
-                report.surviving_order,
-            )
-        ],
-    }
-
-
 def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
     """``values`` of ``key`` as floats, once each is a JSON number, or with
     ``inf`` also the string "inf"."""
@@ -502,19 +469,22 @@ def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
 
 
 def report_from_dict(payload: dict) -> RobustnessReport:
-    """Inverse of :func:`report_to_dict`, with schema validation by the
+    """The report a saved payload holds, with schema validation by the
     saved-file checker, column by column: nothing is coerced. Numbers
     must be JSON numbers, and ``werc`` and the Kirchhoff indices may be
     "inf"; ``window_id`` and each surviving order must be integers (2.7 is
     refused, not truncated), and a surviving order may be null; ``label``
     and each ``firm`` must be strings, ``component_note`` a string or null
     and ``firms`` a list of strings. No name repeats in ``firms``, and the
-    vertices' firms are some of ``firms``, in their order, each once."""
+    vertices' firms are some of ``firms``, in their order, each once. There
+    are at least three vertices: no analyzed window has fewer."""
     try:
         version = _field(payload, "schema_version", "an integer")
         if version != REPORT_SCHEMA_VERSION:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
         vertices = _field(payload, "vertices", "a list")
+        if len(vertices) < 3:
+            raise NetworkFormatError(f"need at least three vertices, got {len(vertices)}")
         column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
         firms = _distinct("firms", _field(payload, "firms", "a list of strings"))
         analyzed = _distinct("firm", _checked("firm", column["firm"], "a string"))
@@ -563,17 +533,30 @@ def _json_items(values: Iterable) -> list[str]:
 
 
 def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None:
-    """Write ``report_to_dict(report)`` by :func:`_write_records`. A NaN
-    or infinite float, other than an infinite removal impact, raises
+    """Write the report by :func:`_write_records`, one record per analyzed
+    firm under "vertices", with an infinite removal impact as "inf". A
+    NaN or infinite float, other than an infinite removal impact, raises
     ``ValueError``."""
+    header = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "window_id": report.window_id,
+        "label": report.label,
+        "firms": list(report.firms),
+        "component_note": report.component_note,
+        "density": report.density,
+        "kirchhoff": report.kirchhoff,
+        "normalized_kirchhoff": report.normalized_kirchhoff,
+    }
     werc = ["inf" if w == math.inf else w for w in report.werc]
     values = map(_json_items, (werc, report.clustering, report.strength, report.surviving_order))
     firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
-    _write_records(target, _report_header(report), "vertices", _VERTEX, (firms, *values))
+    _write_records(target, header, "vertices", _VERTEX, (firms, *values))
 
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
-    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k."""
+    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k. Two
+    files of one k (``window_1.json`` and ``window_01.json``), and a file
+    whose ``window_id`` is not its k, are refused."""
     directory = Path(out_dir) / sub
     if not directory.is_dir():
         raise NetworkFormatError(f"no {sub} directory under {out_dir}")
@@ -585,7 +568,17 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     if not found:
         # "reports" -> "no report files"
         raise NetworkFormatError(f"no {sub[:-1]} files in {directory}")
-    return tuple(read_json(path, parse) for _, path in sorted(found))
+    found.sort()
+    for (k, path), (other, again) in zip(found, found[1:]):
+        if k == other:
+            raise NetworkFormatError(f"{path} and {again} both hold window {k}")
+    items = tuple(read_json(path, parse) for _, path in found)
+    for (k, path), item in zip(found, items):
+        if item.window_id != k:
+            raise NetworkFormatError(
+                f"{path}: window_id {item.window_id} does not match the file name"
+            )
+    return items
 
 
 def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:

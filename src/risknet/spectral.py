@@ -18,8 +18,7 @@ Randic, "Resistance distance", 1993). ``werc_all`` takes that route for a
 network and all its removals, without forming M: with C the Cholesky
 factor of the grounded matrix, M = C^-T C^-1, so tr(M) is the sum of the
 squares of C^-1 and 1'M1 = |C^-1 1|^2, and C^-1 comes from a triangular
-inverse made of matrix products. ``spectrum`` with ``kirchhoff_index``
-and ``effective_resistance_oracle`` are independent routes that check it.
+inverse made of matrix products.
 
 Connectivity is decided by the positive weights alone, however small; the
 solvers only measure resistance. A network its positive weights connect
@@ -32,10 +31,6 @@ is removed: positive when the network relies on the vertex, negative when
 the vertex was a net burden, and +inf when its removal disconnects the
 survivors (infinite resistance between separated pairs). ``werc_all``
 returns K, every impact and the surviving component orders from one pass.
-
-``effective_resistance_oracle`` recomputes K from the Laplacian
-pseudo-inverse by literally summing pairwise resistances; it shares no
-solver with the other two routes and exists to cross-check them.
 """
 
 from __future__ import annotations
@@ -54,9 +49,7 @@ __all__ = [
     "RemovalImpacts",
     "weighted_laplacian",
     "spectrum",
-    "kirchhoff_index",
     "normalized_kirchhoff",
-    "effective_resistance_oracle",
     "connected_components",
     "largest_component",
     "werc_all",
@@ -143,64 +136,11 @@ def _check_laplacian(laplacian: np.ndarray) -> float:
     return scale
 
 
-def kirchhoff_index(spec: LaplacianSpectrum) -> float:
-    """Total effective resistance n * sum(1 / mu) over the n - 1 largest
-    eigenvalues of a connected network.
-
-    Returns ``inf`` when the network is disconnected: separated pairs have
-    infinite resistance. Callers that must not see ``inf`` should restrict
-    to a component first. A connected network gets a finite value, or
-    ``NumericalError`` when the sum overflows or the smallest eigenvalue is
-    noise: not above the solver's error, n * eps * (largest eigenvalue).
-    """
-    if not spec.connected:
-        return math.inf
-    positive = spec.eigenvalues[: spec.n - 1]
-    resolution = spec.n * np.finfo(float).eps * float(spec.eigenvalues[0])
-    with np.errstate(over="ignore", divide="ignore"):
-        total = float(spec.n * np.sum(1.0 / positive))
-    if positive.size and (positive[-1] <= resolution or not math.isfinite(total)):
-        raise NumericalError(
-            f"eigenvalue {positive[-1]:g} of a connected network of order "
-            f"{spec.n} is too small to resolve its resistance (K = {total:g})"
-        )
-    return total
-
-
 def normalized_kirchhoff(kirchhoff: float, n: int) -> float:
     """Kirchhoff index per vertex pair: K / C(n, 2)."""
     if n < 2:
         raise ValueError(f"need at least two vertices, got {n}")
     return kirchhoff / math.comb(n, 2)
-
-
-def effective_resistance_oracle(net: RiskNetwork) -> float:
-    """Kirchhoff index by summing pairwise effective resistances.
-
-    Uses the Moore-Penrose pseudo-inverse of the Laplacian: the resistance
-    between i and j is P[i, i] + P[j, j] - 2 P[i, j]. For a connected
-    network P = inv(L + c J / n) - J / (c n) with J the all-ones matrix and
-    any c > 0, which needs no eigenvalue cutoff, so the oracle stays
-    independent of the eigenvalue route. c is the mean strength, which
-    keeps the shift on the Laplacian's scale: an unscaled J / n swamps a
-    network of small weights and costs digits. Quadratic in the number of
-    pairs, meant for cross-checks on small networks.
-    """
-    if len(connected_components(net)) != 1:
-        raise DisconnectedNetworkError(
-            f"window {net.label}: effective resistance is infinite across components"
-        )
-    scale = float(net.strengths.mean())
-    projector = np.full((net.n, net.n), 1.0 / net.n)
-    try:
-        pinv = np.linalg.inv(weighted_laplacian(net) + scale * projector) - projector / scale
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pseudo-inverse failed: {exc}") from None
-    total = 0.0
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            total += pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j]
-    return float(total)
 
 
 def connected_components(net: RiskNetwork) -> tuple[tuple[int, ...], ...]:

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 from graphgen import from_weights, random_connected
-from risknet.measures import (
+from oracles import (
     edge_weight,
+    effective_resistance_oracle,
     estimate_es,
     estimate_mes,
     estimate_var,
     impact,
+    kirchhoff_index,
     risk_profile,
 )
 from risknet.panel import save_returns
@@ -31,8 +33,6 @@ from risknet.pipeline import run_study, write_study
 from risknet.reports import ALL_PERIODS, StudyConfig
 from risknet.spectral import (
     barrat_clustering,
-    effective_resistance_oracle,
-    kirchhoff_index,
     normalized_kirchhoff,
     spectrum,
     weighted_laplacian,

@@ -280,6 +280,11 @@ def repeat_firm(payload):
     payload["firms"][1] = payload["firms"][0]
 
 
+def keep_two_vertices(payload):
+    # typed right, but no analyzed window has fewer than three firms
+    del payload["vertices"][2:]
+
+
 @pytest.mark.parametrize(
     "edit, shown",
     [
@@ -305,12 +310,17 @@ def repeat_firm(payload):
         (drop_first_firm, "firm 'F000' is not in firms, or out of their order"),
         (swap_vertex_firms, "firm 'F000' is not in firms, or out of their order"),
         (repeat_firm, "firms repeats 'F000'"),
+        # rank would count the window in every period; the charts would
+        # plot the median of no clustering values
+        (set_field("vertices", []), "need at least three vertices, got 0"),
+        (keep_two_vertices, "need at least three vertices, got 2"),
     ],
     ids=[
         "order-float", "order-bool", "density-string", "clustering-string",
         "strength-bool", "werc-bool", "window-string", "window-float", "density-huge",
         "firm-int", "label-int", "note-float", "firms-string",
         "firm-repeat", "firm-unlisted", "firm-order", "firms-repeat",
+        "no-vertices", "two-vertices",
     ],
 )
 def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):
@@ -355,6 +365,29 @@ def test_saved_network_values_are_refused_not_coerced(panel_csv, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "name, shown",
+    [
+        ("window_9.json", "{copy}: window_id 1 does not match the file name"),
+        ("window_01.json", "{copy} and {original} both hold window 1"),
+    ],
+    ids=["other-number", "same-number"],
+)
+@pytest.mark.parametrize(
+    "command, saved", [("rank", "reports"), ("export-charts", "networks")]
+)
+def test_copied_saved_file_is_refused(panel_csv, tmp_path, capsys, command, saved, name, shown):
+    # rank would count window 1 twice; a chart would plot two points at one x
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    original = out / saved / "window_1.json"
+    copy = out / saved / name
+    copy.write_bytes(original.read_bytes())
+    error = single_error(capsys, [command, "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    assert error["message"] == shown.format(copy=copy, original=original)
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (["rank", "--out", "o", "--alpha", "0.01"], "--alpha"),
@@ -365,6 +398,8 @@ def test_saved_network_values_are_refused_not_coerced(panel_csv, tmp_path, capsy
          "--periods"),
         (["analyze", "--input", "x.csv", "--out", "o", "--bogus"], "--bogus"),
         (["rank"], "--out"),
+        # like "periods =" in a config file, not a silent fallback to the defaults
+        (["rank", "--out", "o", "--periods", ""], "no sub-periods given"),
     ],
 )
 def test_usage_error_is_one_json_line(capsys, argv, named):
@@ -390,6 +425,20 @@ def test_config_window_key_is_refused(panel_csv, tmp_path, capsys):
     )
     assert error["error"] == "ConfigError"
     assert "'window'" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "build"])
+@pytest.mark.parametrize("line", ["delimiter =", "delimiter = ;;"])
+def test_config_delimiter_must_be_one_character(panel_csv, tmp_path, capsys, command, line):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(line + "\n")
+    error = single_error(
+        capsys,
+        [command, "--input", str(panel_csv), "--out", str(tmp_path / "o"),
+         "--config", str(cfg)],
+    )
+    assert error["error"] == "ConfigError"
+    assert "delimiter must be one character" in error["message"]
 
 
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import bfs_components, cut_vertices, from_weights
+from oracles import kirchhoff_index
 from risknet.errors import NumericalError
 from risknet.pipeline import window_report
 from risknet.spectral import (
     LaplacianSpectrum,
     connected_components,
-    kirchhoff_index,
     spectrum,
     weighted_laplacian,
     werc_all,

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from risknet.errors import DegeneratePairError, EstimationError
-from risknet.measures import (
+from oracles import (
+    DegeneratePairError,
     edge_weight,
     estimate_es,
     estimate_mes,
@@ -18,6 +18,7 @@ from risknet.measures import (
     impact,
     risk_profile,
 )
+from risknet.errors import EstimationError
 
 
 def sorted_var_es(series, alpha):

@@ -7,7 +7,6 @@ import dataclasses
 import datetime as dt
 import io
 import json
-import math
 import re
 import tracemalloc
 
@@ -16,16 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_pair_oracle
 from risknet import network
-from risknet.errors import (
-    DegeneratePairError,
-    EstimationError,
-    NetworkFormatError,
-    WindowError,
-)
-from risknet.measures import edge_weight, estimate_mes, risk_profile
+from risknet.errors import NetworkFormatError, WindowError
 from risknet.network import (
-    Diagnostic,
     DirectedWeights,
     RiskNetwork,
     build_directed,
@@ -47,59 +40,6 @@ def month_slice(values, mask=None, min_obs=15):
     slices = window_panel(panel, min_obs=min_obs)
     assert len(slices) == 1
     return slices[0]
-
-
-def per_pair_oracle(window, alpha):
-    """The per-pair estimator, one scalar call at a time.
-
-    Each firm's profile comes from its own observed days and each pair's
-    MES from the pair's common days. Returns the directed matrix, the set
-    of ``short_overlap`` and ``inestimable_firm`` diagnostics, and the
-    firms whose tail spread is not positive.
-    """
-    n = window.n_firms
-    firms = window.firms
-    out = np.zeros((n, n))
-    diagnostics = set()
-    profiles = []
-    for col, firm in enumerate(firms):
-        try:
-            profiles.append(
-                risk_profile(firm, window.returns[window.mask[:, col], col], alpha)
-            )
-        except EstimationError as exc:
-            profiles.append(None)
-            diagnostics.add(Diagnostic("inestimable_firm", None, firm, str(exc)))
-    degenerate = {
-        p.firm for p in profiles if p is not None and p.mean_return + p.es <= 0.0
-    }
-    floor = max(window.min_obs, math.ceil(1.0 / alpha))
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = np.flatnonzero(window.mask[:, a] & window.mask[:, b])
-            if len(common) < floor:
-                diagnostics.add(
-                    Diagnostic(
-                        "short_overlap",
-                        firms[a],
-                        firms[b],
-                        f"{len(common)} common days, need {floor}",
-                    )
-                )
-                continue
-            for target, source in ((a, b), (b, a)):
-                if profiles[target] is None or profiles[source] is None:
-                    continue
-                mes = estimate_mes(
-                    window.returns[common, target], window.returns[common, source], alpha
-                )
-                try:
-                    out[source, target] = edge_weight(
-                        profiles[target], profiles[source], mes
-                    )
-                except DegeneratePairError:
-                    assert firms[target] in degenerate
-    return out, diagnostics, degenerate
 
 
 def random_window(rng):

