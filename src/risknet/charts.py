@@ -44,29 +44,28 @@ def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
     return lambda v: out_lo + (v - lo) * rate, lo, hi
 
 
-def _header(title: str) -> list[str]:
-    return [
+def _frame(title: str, to_y, lo: float, hi: float, body: list[str]) -> str:
+    """A whole chart: background, title, y grid and labels at five levels
+    from ``lo`` to ``hi``, then ``body``, the x-axis line and the close."""
+    x0, x1 = _coord(MARGIN_L), _coord(WIDTH - MARGIN_R)
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_coord(WIDTH / 2)}" y="22" text-anchor="middle" '
         f'font-size="15" fill="{_AXIS}">{title}</text>',
     ]
-
-
-def _y_axis(parts: list[str], to_y, lo: float, hi: float) -> None:
-    x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     for i in range(5):
         value = lo + (hi - lo) * i / 4
         y = _coord(to_y(value))
-        parts.append(
-            f'<line x1="{_coord(x0)}" y1="{y}" x2="{_coord(x1)}" y2="{y}" '
-            f'stroke="{_GRID}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_coord(x0 - 6)}" y="{y}" text-anchor="end" '
-            f'dominant-baseline="middle" font-size="11" fill="{_AXIS}">{_fmt(value)}</text>'
-        )
+        parts += [
+            f'<line x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" stroke="{_GRID}" stroke-width="1"/>',
+            f'<text x="{_coord(MARGIN_L - 6)}" y="{y}" text-anchor="end" '
+            f'dominant-baseline="middle" font-size="11" fill="{_AXIS}">{_fmt(value)}</text>',
+        ]
+    base = _coord(HEIGHT - MARGIN_B)
+    axis = f'<line x1="{x0}" y1="{base}" x2="{x1}" y2="{base}" stroke="{_AXIS}" stroke-width="1"/>'
+    return "\n".join([*parts, *body, axis, "</svg>"]) + "\n"
 
 
 def line_chart(
@@ -88,8 +87,7 @@ def line_chart(
     to_x, _, _ = _scale(min(xs), max(xs), MARGIN_L, WIDTH - MARGIN_R)
     to_y, y_lo, y_hi = _scale(min(ys), max(ys), HEIGHT - MARGIN_B, MARGIN_T)
 
-    parts = _header(title)
-    _y_axis(parts, to_y, y_lo, y_hi)
+    parts = []
     for x_value, text in x_ticks:
         x = _coord(to_x(x_value))
         parts.append(
@@ -123,13 +121,7 @@ def line_chart(
             f'<circle cx="{_coord(to_x(x))}" cy="{_coord(to_y(y))}" r="2.5" '
             f'fill="{_LINE}"/>'
         )
-    parts.append(
-        f'<line x1="{_coord(MARGIN_L)}" y1="{_coord(HEIGHT - MARGIN_B)}" '
-        f'x2="{_coord(WIDTH - MARGIN_R)}" y2="{_coord(HEIGHT - MARGIN_B)}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(title, to_y, y_lo, y_hi, parts)
 
 
 def band_chart(bands: Sequence[WeightBand], *, title: str) -> str:
@@ -142,8 +134,7 @@ def band_chart(bands: Sequence[WeightBand], *, title: str) -> str:
     slot = (WIDTH - MARGIN_L - MARGIN_R) / len(bands)
     bar = min(34.0, slot * 0.5)
 
-    parts = _header(title)
-    _y_axis(parts, to_y, y_lo, y_hi)
+    parts = []
     for i, band in enumerate(bands):
         centre = MARGIN_L + slot * (i + 0.5)
         top = to_y(band.q95)
@@ -161,13 +152,7 @@ def band_chart(bands: Sequence[WeightBand], *, title: str) -> str:
             f'<text x="{_coord(centre)}" y="{_coord(HEIGHT - MARGIN_B + 18)}" '
             f'text-anchor="middle" font-size="11" fill="{_AXIS}">{band.group}</text>'
         )
-    parts.append(
-        f'<line x1="{_coord(MARGIN_L)}" y1="{_coord(HEIGHT - MARGIN_B)}" '
-        f'x2="{_coord(WIDTH - MARGIN_R)}" y2="{_coord(HEIGHT - MARGIN_B)}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(title, to_y, y_lo, y_hi, parts)
 
 
 def _window_ticks(rows: Sequence[tuple]) -> list[tuple[float, str]]:
@@ -186,6 +171,14 @@ def _boundaries(
     return marks
 
 
+# (file, column of the time-series rows, title) of each line chart
+_LINE_CHARTS = (
+    ("normalized_kirchhoff.svg", 3, "Normalized Kirchhoff index by window"),
+    ("density.svg", 2, "Network density by window"),
+    ("median_clustering.svg", 4, "Median weighted clustering by window"),
+)
+
+
 def emit_charts(
     reports: Sequence[RobustnessReport],
     networks: Sequence[RiskNetwork],
@@ -197,24 +190,10 @@ def emit_charts(
     marks = _boundaries(rows, sub_periods)
     ticks = _window_ticks(rows)
     charts = {
-        "normalized_kirchhoff.svg": line_chart(
-            [(row[0], row[3]) for row in rows],
-            title="Normalized Kirchhoff index by window",
-            x_ticks=ticks,
-            boundaries=marks,
-        ),
-        "density.svg": line_chart(
-            [(row[0], row[2]) for row in rows],
-            title="Network density by window",
-            x_ticks=ticks,
-            boundaries=marks,
-        ),
-        "median_clustering.svg": line_chart(
-            [(row[0], row[4]) for row in rows],
-            title="Median weighted clustering by window",
-            x_ticks=ticks,
-            boundaries=marks,
-        ),
+        name: line_chart(
+            [(row[0], row[column]) for row in rows], title=title, x_ticks=ticks, boundaries=marks
+        )
+        for name, column, title in _LINE_CHARTS
     }
     bands = weight_distribution_stats(networks)
     if bands:

@@ -32,7 +32,7 @@ from .network import (
 from .panel import ReturnPanel, load_returns
 from .reports import (
     RankingTable, RobustnessReport, StudyConfig, SubPeriod, WeightBand, _read_windows,
-    _write_csv, rank_firms, write_rankings, write_report,
+    _write_csv, _write_windows, rank_firms, write_rankings, write_report,
 )
 from .reports import parse_periods, read_reports  # looked up here by perfbench/
 from .spectral import barrat_clustering_all, largest_component, normalized_kirchhoff, werc_all
@@ -207,18 +207,6 @@ def timeseries_rows(
 
 def read_networks(out_dir: str | Path) -> tuple[RiskNetwork, ...]:
     return _read_windows(out_dir, "networks", network_from_dict)
-
-
-def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
-    """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``."""
-    directory = Path(out_dir) / sub
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for item in items:
-        path = directory / f"window_{item.window_id}.json"
-        write(item, path)
-        paths.append(path)
-    return paths
 
 
 # The writers are passed at call time, not bound as defaults, so a wrapper

@@ -182,7 +182,9 @@ def config_from_sources(
             ) from None
         if not 0.5 < confidence < 1.0:
             raise ConfigError(f"confidence must lie in (0.5, 1), got {confidence}")
-        kwargs["alpha"] = 1.0 - confidence
+        from fractions import Fraction  # loads decimal, so not at start-up
+        # the float nearest the exact complement: 1.0 - 0.90 is 0.09999999999999998
+        kwargs["alpha"] = float(1 - Fraction(file_values["confidence"]))
     if "min_obs" in file_values:
         try:
             kwargs["min_obs"] = int(file_values["min_obs"])
@@ -553,6 +555,27 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
     _write_records(target, header, "vertices", _VERTEX, (firms, *values))
 
 
+def _window_files(directory: Path) -> list[Path]:
+    """Every ``window_<k>.json`` in the directory, k in digits."""
+    return [p for p in directory.glob("window_*.json") if p.stem.split("_", 1)[1].isdigit()]
+
+
+def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
+    """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``,
+    then delete every other window file there, so that the directory holds
+    this run's windows alone."""
+    directory = Path(out_dir) / sub
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for item in items:
+        path = directory / f"window_{item.window_id}.json"
+        write(item, path)
+        paths.append(path)
+    for stale in set(_window_files(directory)) - set(paths):
+        stale.unlink()
+    return paths
+
+
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k. Two
     files of one k (``window_1.json`` and ``window_01.json``), and a file
@@ -560,15 +583,10 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     directory = Path(out_dir) / sub
     if not directory.is_dir():
         raise NetworkFormatError(f"no {sub} directory under {out_dir}")
-    found = []
-    for path in directory.glob("window_*.json"):
-        suffix = path.stem.split("_", 1)[1]
-        if suffix.isdigit():
-            found.append((int(suffix), path))
+    found = sorted((int(path.stem.split("_", 1)[1]), path) for path in _window_files(directory))
     if not found:
         # "reports" -> "no report files"
         raise NetworkFormatError(f"no {sub[:-1]} files in {directory}")
-    found.sort()
     for (k, path), (other, again) in zip(found, found[1:]):
         if k == other:
             raise NetworkFormatError(f"{path} and {again} both hold window {k}")

@@ -104,7 +104,8 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     laplacian = np.asarray(laplacian, dtype=float)
     scale = _check_laplacian(laplacian)
     # self-loops change no component; both triangles keep components disjoint
-    sizes = tuple(c.size for c in _components((laplacian != 0) | (laplacian.T != 0)))
+    labels = _labels((laplacian != 0) | (laplacian.T != 0))
+    sizes = tuple(np.unique(labels, return_counts=True)[1].tolist())
     try:
         values = np.linalg.eigvalsh(laplacian)
     except np.linalg.LinAlgError as exc:
@@ -146,25 +147,31 @@ def normalized_kirchhoff(kirchhoff: float, n: int) -> float:
 def connected_components(net: RiskNetwork) -> tuple[tuple[int, ...], ...]:
     """Vertex index sets of the components of the positive weights, each
     sorted, ordered by their smallest vertex."""
-    return tuple(tuple(members.tolist()) for members in _components(net.adjacency))
+    (labels,) = _labels(net.adjacency)
+    return tuple(tuple(np.flatnonzero(labels == s).tolist()) for s in np.unique(labels))
 
 
-def _components(adjacency: np.ndarray) -> list[np.ndarray]:
-    """Components of a symmetric boolean adjacency matrix as sorted index
-    arrays, ordered by their smallest vertex; each grows one whole frontier
-    (the non-members adjacent to the last frontier) per step."""
-    unseen = np.ones(adjacency.shape[0], dtype=bool)
-    components: list[np.ndarray] = []
-    while unseen.any():
-        member = np.zeros_like(unseen)
-        member[int(unseen.argmax())] = True
-        frontier = member
+def _labels(adjacency: np.ndarray, removals: bool = False) -> np.ndarray:
+    """The smallest vertex of each vertex's component of a symmetric boolean
+    adjacency matrix, in one row for the whole graph, or with ``removals``
+    in row i for the graph without vertex i, marked -1. Each round grows the
+    component of every row's smallest unlabelled vertex, a frontier a step."""
+    n = adjacency.shape[0]
+    steps = adjacency.astype(float)
+    rows = np.arange(n if removals else 1)
+    labels = np.full((rows.size, n), n)
+    if removals:
+        labels[rows, rows] = -1
+    while (unlabelled := labels == n).any():
+        start = unlabelled.argmax(axis=1)
+        frontier = np.zeros_like(unlabelled)
+        frontier[rows, start] = unlabelled.any(axis=1)
+        reached = frontier | ~unlabelled
         while frontier.any():
-            frontier = adjacency[frontier].any(axis=0) & ~member
-            member |= frontier
-        unseen &= ~member
-        components.append(np.flatnonzero(member))
-    return components
+            frontier = (frontier @ steps > 0.0) & ~reached
+            reached |= frontier
+        labels = np.where(reached & unlabelled, start[:, None], labels)
+    return labels
 
 
 def largest_component(net: RiskNetwork) -> RiskNetwork:
@@ -230,7 +237,7 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
     if n < 3:
         raise ValueError(f"need at least three vertices, got {n}")
     adjacency = net.adjacency
-    if len(_components(adjacency)) != 1:
+    if _labels(adjacency).any():
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
@@ -243,7 +250,9 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
             f"window {net.label}: the resistance of a connected network of "
             f"order {n} is too small to resolve"
         )
-    cut = _cut_vertices(adjacency)
+    labels = _labels(adjacency, removals=True)
+    # a cut leaves a survivor labelled above the first survivor: 1 without 0, else 0
+    cut = labels.max(axis=1) > (np.arange(n) == 0)
     reduced = np.full(n, math.inf)
     solved = np.flatnonzero(~cut & (np.arange(n) != ground))
     reduced[solved] = _removal_kirchhoff(laplacian, net.weights, ground, solved)
@@ -260,8 +269,8 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
     base = normalized_kirchhoff(kirchhoff, n)
     impacts = (reduced / math.comb(n - 1, 2) - base) / base
     surviving = tuple(
-        max(c.size for c in _components(_without(adjacency, i))) if cut[i] else None
-        for i in range(n)
+        int(np.bincount(row[row >= 0]).max()) if cut_here else None
+        for row, cut_here in zip(labels, cut)
     )
     return RemovalImpacts(kirchhoff, impacts, surviving)
 
@@ -387,22 +396,6 @@ def _pair_inverse(leading: np.ndarray, trailing: np.ndarray, corner: np.ndarray)
     product = np.matmul(trailing, corner)
     np.negative(product, out=product)
     np.matmul(product, leading, out=corner)
-
-
-def _cut_vertices(adjacency: np.ndarray) -> np.ndarray:
-    """Whether removing each vertex disconnects a connected graph of at
-    least two vertices: row i of ``reached`` grows from one survivor by a
-    whole frontier per step, with vertex i masked out."""
-    n = adjacency.shape[0]
-    steps = adjacency.astype(float)
-    rows = np.arange(n)
-    frontier = np.zeros((n, n), dtype=bool)
-    frontier[rows, (rows == 0).astype(int)] = True  # start at 0, or at 1 without 0
-    reached = frontier | np.eye(n, dtype=bool)  # the removed vertex is never entered
-    while frontier.any():
-        frontier = (frontier @ steps > 0.0) & ~reached
-        reached |= frontier
-    return ~reached.all(axis=1)
 
 
 def barrat_clustering(net: RiskNetwork, vertex: int) -> float:

@@ -59,9 +59,10 @@ class WindowSlice:
 def window_panel(panel: ReturnPanel, min_obs: int = 15) -> list[WindowSlice]:
     """Cut ``panel`` into calendar-month slices.
 
-    Every month between the panel's first and last date yields one slice
-    (in date order, window_id starting at 1), so the slices partition the
-    panel's dates. Months with fewer than two eligible firms come back
+    Every month holding one of the panel's dates yields one slice (in date
+    order, window_id starting at 1), so the slices partition the panel's
+    dates; a month with no date takes no id (January and March 2008 give
+    ids 1 and 2). Months with fewer than two eligible firms come back
     flagged degenerate. A ``min_obs`` below 1 raises :class:`WindowError`.
     """
     if min_obs < 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -46,6 +47,43 @@ def test_band_chart_one_bar_per_group():
     svg = band_chart(bands, title="w")
     assert svg.count("<rect") == 3  # background + 2 bars
     assert ">2001<" in svg and ">2002<" in svg
+
+
+# SHA-256 of each chart below, recorded from the renderer before its
+# shared frame was factored out: the bytes of every chart element are
+# pinned, not only their agreement between two runs
+PINNED = {
+    "varied": "764cc2ccbf97f444d3e264a1b6b76b4167526fff5630456025aa578f771619ce",
+    "flat": "8bf9395cc7b84d5668aaf35ce685c42eeb9c01a3a1271141706948e192de613b",
+    "bands": "424ab33ec54ed01e2a945e516958888a1f72e783cea83429d37df6ce588855a9",
+}
+
+
+def pinned_charts() -> dict[str, str]:
+    return {
+        "varied": line_chart(
+            [(1, 0.125), (2, -0.5), (3, 4.0), (5, 1.0 / 3.0), (8, 2.5)],
+            title="Varied",
+            x_ticks=[(1, "2001-01"), (3, "2001-03"), (8, "2001-08")],
+            boundaries=[(2, "Early"), (5, "Late")],
+        ),
+        "flat": line_chart([(1, 0.5), (2, 0.5), (3, 0.5)], title="Flat"),
+        "bands": band_chart(
+            (
+                WeightBand("2001", 12, 0.5, 0.2, 0.8),
+                WeightBand("2002", 7, 0.0625, 0.01, 0.3),
+            ),
+            title="Bands",
+        ),
+    }
+
+
+def test_chart_bytes_are_pinned():
+    digests = {
+        name: hashlib.sha256(svg.encode("utf-8")).hexdigest()
+        for name, svg in pinned_charts().items()
+    }
+    assert digests == PINNED
 
 
 def test_empty_series_refused():

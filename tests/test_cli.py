@@ -129,6 +129,43 @@ def test_config_file_drives_alpha(panel_csv, tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_confidence_is_the_exact_complement_of_alpha(tmp_path):
+    # February 2009 has 20 trading days: a tail of floor(0.1 * 20) = 2 days,
+    # where 1.0 - 0.90 = 0.09999999999999998 would give 1
+    panel = generate_panel(12, (2009, 1), (2009, 3), seed=3, stress=None, n_fragile=0)
+    source = tmp_path / "returns.csv"
+    save_returns(panel, source)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("confidence = 0.90\n")
+    run = ["analyze", "--input", str(source), "--charts", "--out"]
+    assert main([*run, str(tmp_path / "file"), "--config", str(cfg)]) == 0
+    assert main([*run, str(tmp_path / "flag"), "--alpha", "0.1"]) == 0
+    assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "flag")
+
+
+def test_rerun_replaces_the_window_files(tmp_path):
+    # a 6-month study, then a 3-month one into the same directory: what is
+    # left, re-ranked and re-charted, is what the 3-month study alone gives
+    for months in (6, 3):
+        panel = generate_panel(10, (2007, 1), (2007, months), seed=13, stress=None)
+        save_returns(panel, tmp_path / f"returns_{months}.csv")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for months, out in ((6, reused), (3, reused), (3, fresh)):
+        assert main(["analyze", "--input", str(tmp_path / f"returns_{months}.csv"),
+                     "--out", str(out)]) == 0
+    for sub in ("networks", "reports"):
+        names = sorted(p.name for p in (reused / sub).iterdir())
+        assert names == ["window_1.json", "window_2.json", "window_3.json"]
+    for out in (reused, fresh):
+        assert main(["rank", "--out", str(out)]) == 0
+        assert main(["export-charts", "--out", str(out)]) == 0
+    assert tree_bytes(reused) == tree_bytes(fresh)
+
+
 def corrupt(path):
     """Append byte 0xff, which never occurs in UTF-8 text."""
     path.write_bytes(path.read_bytes() + b"\xff")

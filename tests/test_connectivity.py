@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import bfs_components, cut_vertices, from_weights
@@ -45,8 +45,21 @@ def weight_matrices(draw) -> np.ndarray:
     return w
 
 
+def edge_weights(n: int, edges) -> np.ndarray:
+    """Symmetric weights on n vertices: 0.5 on each of the edges, else 0."""
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 0.5
+    return w
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(weight_matrices())
+# beyond the drawn orders: a star whose centre's removal leaves 11 pieces,
+# two triangles joined at the cut vertex 0, and a path of order 12
+@example(edge_weights(12, [(0, v) for v in range(1, 12)]))
+@example(edge_weights(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
+@example(edge_weights(12, [(v, v + 1) for v in range(11)]))
 def test_components_spectrum_and_cut_vertices_match_search(w):
     net = from_weights(w)
     expected = bfs_components(w)

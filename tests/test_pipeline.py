@@ -126,7 +126,7 @@ def test_config_file_parsing_and_precedence(tmp_path):
     values = load_config_file(cfg)
     config = config_from_sources(values)
     assert config.min_obs == 12
-    assert config.alpha == pytest.approx(0.10)
+    assert config.alpha == 0.1
     # CLI-style overrides beat the file
     config = config_from_sources(values, alpha=0.05, min_obs=None)
     assert config.alpha == 0.05

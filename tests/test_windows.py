@@ -50,6 +50,17 @@ def test_windows_partition_the_panel_dates():
     assert covered == list(panel.dates)
 
 
+def test_month_without_dates_yields_no_slice():
+    full = make_panel(dt.date(2008, 1, 1), dt.date(2008, 3, 31), 3)
+    rows = [t for t, d in enumerate(full.dates) if d.month != 2]
+    panel = panel_from_rows(
+        [full.dates[t] for t in rows], full.firms, full.returns[rows], full.mask[rows]
+    )
+    slices = window_panel(panel)
+    assert [(s.window_id, s.label) for s in slices] == [(1, "2008-01"), (2, "2008-03")]
+    assert [d for s in slices for d in s.dates] == list(panel.dates)
+
+
 def test_two_month_panel_preserves_firm_union():
     panel = make_panel(dt.date(2010, 1, 1), dt.date(2010, 2, 28), 5)
     slices = window_panel(panel)
