@@ -1,21 +1,26 @@
-"""Deterministic SVG charts for study outputs.
-
-Everything is rendered by string assembly with fixed-precision
-coordinates, so identical inputs give identical bytes. No plotting
-dependency.
+"""Deterministic SVG charts for study outputs, written to ``charts/``: the
+per-window line charts of the time series and the per-year band chart of
+edge weights, with the weight statistics it plots. Everything is rendered
+by string assembly with fixed-precision coordinates, so identical inputs
+give identical bytes. No plotting dependency.
 """
 
 from __future__ import annotations
 
+import logging
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import RiskNetError
 from .network import RiskNetwork
-from .pipeline import timeseries_rows, weight_distribution_stats
-from .reports import RobustnessReport, SubPeriod, WeightBand
+from .reports import RobustnessReport, SubPeriod, _write_files, timeseries_rows
 
-__all__ = ["line_chart", "band_chart", "emit_charts"]
+__all__ = ["line_chart", "band_chart", "emit_charts", "WeightBand", "weight_distribution_stats"]
+
+log = logging.getLogger(__name__)
 
 WIDTH = 900
 HEIGHT = 360
@@ -26,6 +31,47 @@ _GRID = "#dddddd"
 _LINE = "#1f5fa6"
 _BAND = "#9ec5e8"
 _MARK = "#b03030"
+
+
+@dataclass(frozen=True)
+class WeightBand:
+    """Positive-weight distribution summary for one group of networks."""
+
+    group: str
+    count: int
+    mean: float
+    q05: float
+    q95: float
+
+
+def weight_distribution_stats(networks: Sequence[RiskNetwork]) -> tuple[WeightBand, ...]:
+    """Mean and 5%/95% band of positive weights, grouped per year.
+
+    Groups whose networks carry no positive weight are omitted (logged).
+    """
+    buckets: dict[str, list[np.ndarray]] = {}
+    for net in networks:
+        year = net.label.split("-")[0]
+        iu = np.triu_indices(net.n, k=1)
+        flat = net.weights[iu]
+        buckets.setdefault(year, []).append(flat[flat > 0.0])
+    bands = []
+    for year in sorted(buckets):
+        weights = np.concatenate(buckets[year])
+        if weights.size == 0:
+            log.warning("weight stats: no positive weights in %s, group omitted", year)
+            continue
+        q05, q95 = np.quantile(weights, [0.05, 0.95])
+        bands.append(
+            WeightBand(
+                group=year,
+                count=int(weights.size),
+                mean=float(weights.mean()),
+                q05=float(q05),
+                q95=float(q95),
+            )
+        )
+    return tuple(bands)
 
 
 def _fmt(value: float) -> str:
@@ -171,6 +217,10 @@ def _boundaries(
     return marks
 
 
+def _write_svg(svg: str, path: Path) -> None:
+    path.write_text(svg, encoding="utf-8")
+
+
 # (file, column of the time-series rows, title) of each line chart
 _LINE_CHARTS = (
     ("normalized_kirchhoff.svg", 3, "Normalized Kirchhoff index by window"),
@@ -185,7 +235,8 @@ def emit_charts(
     sub_periods: Sequence[SubPeriod],
     out_dir: str | Path,
 ) -> list[Path]:
-    """Write the study's charts; returns the files written."""
+    """Write the study's charts into ``charts/``, deleting every other
+    ``*.svg`` there; returns the files written."""
     rows = timeseries_rows(reports, sub_periods)
     marks = _boundaries(rows, sub_periods)
     ticks = _window_ticks(rows)
@@ -200,14 +251,5 @@ def emit_charts(
         charts["weights_by_year.svg"] = band_chart(
             bands, title="Edge weights by year: mean and 5-95% band"
         )
-    directory = Path(out_dir) / "charts"
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, svg in charts.items():
-        path = directory / name
-        try:
-            path.write_text(svg, encoding="utf-8")
-        except OSError as exc:
-            raise RiskNetError(f"failed writing chart {path}: {exc}") from None
-        written.append(path)
-    return written
+    entries = [(name, _write_svg, svg) for name, svg in charts.items()]
+    return _write_files(Path(out_dir) / "charts", entries, lambda d: d.glob("*.svg"))

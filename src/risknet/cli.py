@@ -121,7 +121,7 @@ def _cmd_build(config: reports.StudyConfig) -> int:
     networks, _ = pipeline.build_networks(returns, config)
     if not networks:
         raise RiskNetError("no non-degenerate window in the input")
-    pipeline.write_networks(networks, config.out_dir)
+    network.write_networks(networks, config.out_dir)
     print(f"wrote {len(networks)} networks under {config.out_dir / 'networks'}")
     return 0
 
@@ -152,7 +152,7 @@ def _cmd_rank(config: reports.StudyConfig) -> int:
 
 def _cmd_export_charts(config: reports.StudyConfig) -> int:
     saved = reports.read_reports(config.out_dir)
-    networks = pipeline.read_networks(config.out_dir)
+    networks = network.read_networks(config.out_dir)
     files = charts.emit_charts(saved, networks, config.sub_periods, config.out_dir)
     print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     return 0

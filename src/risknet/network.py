@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import EstimationError, NetworkFormatError, WindowError
-from .reports import _check_types, _distinct, _field, _write_records
+from .reports import _check_types, _distinct, _field, _read_windows, _write_records, _write_windows
 from .windows import WindowSlice
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "density",
     "network_from_dict",
     "write_network",
+    "read_networks",
 ]
 
 SCHEMA_VERSION = 1
@@ -316,6 +317,15 @@ def network_from_dict(payload: dict) -> RiskNetwork:
         weights[rows, cols] = values
         weights[cols, rows] = values
     return RiskNetwork(window_id=window_id, label=label, firms=firms, weights=weights)
+
+
+def read_networks(out_dir: str | Path) -> tuple[RiskNetwork, ...]:
+    return _read_windows(out_dir, "networks", network_from_dict)
+
+
+# The writer is passed at call time, so a wrapper set on ``write_network`` sees every call.
+def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
+    return _write_windows(networks, out_dir, "networks", write_network)
 
 
 def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

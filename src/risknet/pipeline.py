@@ -1,15 +1,15 @@
-"""End-to-end study orchestration.
+"""The study loop: one study run cuts the input panel into calendar-month
+windows, builds the tail-risk network of each healthy window, restricts to
+the largest component when a window comes out disconnected, and reports
+density, the normalized Kirchhoff index, per-vertex removal impacts,
+clustering, and strength. Windows are independent of each other; they are
+processed in date order so outputs are reproducible byte for byte.
 
-One study run cuts the input panel into calendar-month windows, builds the
-tail-risk network of each healthy window, restricts to the largest
-component when a window comes out disconnected, and reports density, the
-normalized Kirchhoff index, per-vertex removal impacts, clustering, and
-strength. Windows are independent of each other; they are processed in
-date order so outputs are reproducible byte for byte.
-
-Firms are then ranked per sub-period by ``reports.rank_firms``; the
-configuration, the periods, the report type and its file format, and the
-ranking tables live in :mod:`risknet.reports`, which imports no numpy.
+This module owns the loop and ``write_study``, which writes the standard
+output tree through each format's own module: networks by
+:mod:`risknet.network`; reports, period rankings and the time series by
+:mod:`risknet.reports`, which also holds the configuration and the
+periods and imports no numpy. Charts are :mod:`risknet.charts`' business.
 
 Failures stay local: a degenerate or unanalyzable window is logged and
 skipped; only an unreadable input or a study with no usable window at all
@@ -21,26 +21,21 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
 
 from .errors import ConfigError, RiskNetError, WindowError
-from .network import (
-    RiskNetwork, build_directed, density, network_from_dict, symmetrize, write_network,
-)
+from .network import RiskNetwork, build_directed, density, symmetrize, write_networks
+from .network import read_networks  # looked up here by perfbench/
 from .panel import ReturnPanel, load_returns
 from .reports import (
-    RankingTable, RobustnessReport, StudyConfig, SubPeriod, WeightBand, _read_windows,
-    _write_csv, _write_windows, rank_firms, write_rankings, write_report,
+    RankingTable, RobustnessReport, StudyConfig, rank_firms, write_rankings, write_reports,
+    write_timeseries,
 )
-from .reports import parse_periods, read_reports  # looked up here by perfbench/
+from .reports import parse_periods, read_reports, write_report  # looked up here by perfbench/
 from .spectral import barrat_clustering_all, largest_component, normalized_kirchhoff, werc_all
 from .windows import window_panel
 
 __all__ = [
-    "StudyResult", "run_study", "build_networks", "analyze_panel", "window_report",
-    "weight_distribution_stats", "timeseries_rows", "write_study", "read_networks",
+    "StudyResult", "run_study", "build_networks", "analyze_panel", "window_report", "write_study",
 ]
 
 log = logging.getLogger(__name__)
@@ -142,106 +137,6 @@ def run_study(config: StudyConfig) -> StudyResult:
         config.input_path,
     )
     return analyze_panel(panel, config)
-
-
-
-
-def weight_distribution_stats(networks: Sequence[RiskNetwork]) -> tuple[WeightBand, ...]:
-    """Mean and 5%/95% band of positive weights, grouped per year.
-
-    Groups whose networks carry no positive weight are omitted (logged).
-    """
-    buckets: dict[str, list[np.ndarray]] = {}
-    for net in networks:
-        year = net.label.split("-")[0]
-        iu = np.triu_indices(net.n, k=1)
-        flat = net.weights[iu]
-        buckets.setdefault(year, []).append(flat[flat > 0.0])
-    bands = []
-    for year in sorted(buckets):
-        weights = np.concatenate(buckets[year]) if buckets[year] else np.array([])
-        if weights.size == 0:
-            log.warning("weight stats: no positive weights in %s, group omitted", year)
-            continue
-        q05, q95 = np.quantile(weights, [0.05, 0.95])
-        bands.append(
-            WeightBand(
-                group=year,
-                count=int(weights.size),
-                mean=float(weights.mean()),
-                q05=float(q05),
-                q95=float(q95),
-            )
-        )
-    return tuple(bands)
-
-
-def _period_of(label: str, sub_periods: Sequence[SubPeriod]) -> str:
-    for period in sub_periods:
-        if period.contains(label):
-            return period.label
-    return ""
-
-
-def timeseries_rows(
-    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod] = ()
-) -> list[tuple]:
-    """One row per window: id, label, density, normalized Kirchhoff, median
-    clustering, and the sub-period the window falls in (empty when none)."""
-    rows = []
-    for report in sorted(reports, key=lambda r: r.window_id):
-        rows.append(
-            (
-                report.window_id,
-                report.label,
-                report.density,
-                report.normalized_kirchhoff,
-                float(np.median(report.clustering)),
-                _period_of(report.label, sub_periods),
-            )
-        )
-    return rows
-
-
-
-
-def read_networks(out_dir: str | Path) -> tuple[RiskNetwork, ...]:
-    return _read_windows(out_dir, "networks", network_from_dict)
-
-
-# The writers are passed at call time, not bound as defaults, so a wrapper
-# set on this module's ``write_network`` or ``write_report`` sees every call.
-def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
-    return _write_windows(networks, out_dir, "networks", write_network)
-
-
-def write_reports(reports: Sequence[RobustnessReport], out_dir: str | Path) -> list[Path]:
-    return _write_windows(reports, out_dir, "reports", write_report)
-
-
-
-
-def write_timeseries(
-    reports: Sequence[RobustnessReport],
-    sub_periods: Sequence[SubPeriod],
-    out_dir: str | Path,
-) -> Path:
-    path = Path(out_dir) / "timeseries.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(
-            handle,
-            (
-                "window",
-                "label",
-                "density",
-                "normalized_kirchhoff",
-                "median_clustering",
-                "period",
-            ),
-            timeseries_rows(reports, sub_periods),
-        )
-    return path
 
 
 def write_study(result: StudyResult, config: StudyConfig, out_dir: str | Path) -> None:

@@ -1,9 +1,12 @@
-"""Study configuration, sub-periods, saved reports and period rankings:
-the read side of a study, which imports no numpy, so ``risknet rank`` needs
-only this module. Firms are ranked per sub-period (and over the whole
-range) by their average removal impact across the windows where they were
-present, subject to a minimum-coverage rule, with quartiles. Saved networks
-and reports share one codec: one record writer and one exact-type checker.
+"""Study configuration, sub-periods, saved reports, period rankings and
+the time series: the read side of a study, which imports no numpy, so
+``risknet rank`` needs only this module. Firms are ranked per sub-period
+(and over the whole range) by their average removal impact across the
+windows where they were present, subject to a minimum-coverage rule, with
+quartiles. This module writes ``reports/``, ``rankings/`` and
+``timeseries.csv``, and holds the one writer of every output directory,
+which deletes what an earlier run left there. Saved networks and reports
+share one codec: one record writer and one exact-type checker.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from typing import IO, Callable, Iterable, Sequence, TypeVar
 from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
 
 __all__ = [
-    "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport", "WeightBand",
+    "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
     "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file", "rank_firms",
-    "period_slug", "read_reports",
+    "period_slug", "read_reports", "timeseries_rows",
 ]
 
 log = logging.getLogger(__name__)
@@ -224,17 +227,6 @@ class RankingTable:
 
 
 @dataclass(frozen=True)
-class WeightBand:
-    """Positive-weight distribution summary for one group of networks."""
-
-    group: str
-    count: int
-    mean: float
-    q05: float
-    q95: float
-
-
-@dataclass(frozen=True)
 class RobustnessReport:
     """Per-window robustness summary produced by the pipeline."""
 
@@ -355,11 +347,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(target: IO[str], header: Sequence[str], rows: Iterable[tuple]) -> None:
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+def _write_csv(header: Sequence[str], rows: Iterable[tuple], path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
 
 
 def _write_records(
@@ -556,24 +548,31 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
 
 
 def _window_files(directory: Path) -> list[Path]:
-    """Every ``window_<k>.json`` in the directory, k in digits."""
-    return [p for p in directory.glob("window_*.json") if p.stem.split("_", 1)[1].isdigit()]
+    """Every ``window_<k>.json`` in the directory, k in digits that ``int`` reads."""
+    return [p for p in directory.glob("window_*.json") if p.stem.split("_", 1)[1].isdecimal()]
+
+
+def _write_files(directory: Path, entries: Iterable[tuple], owned: Callable) -> list[Path]:
+    """Write each (file name, writer, item) entry by ``writer(item, path)``
+    into ``directory``, then delete every file of ``owned(directory)`` that
+    this call did not write, so that the directory's owned files are this
+    run's alone."""
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, write, item in entries:
+        path = directory / name
+        write(item, path)
+        paths.append(path)
+    for stale in set(owned(directory)) - set(paths):
+        stale.unlink()
+    return paths
 
 
 def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
-    """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``,
-    then delete every other window file there, so that the directory holds
-    this run's windows alone."""
-    directory = Path(out_dir) / sub
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for item in items:
-        path = directory / f"window_{item.window_id}.json"
-        write(item, path)
-        paths.append(path)
-    for stale in set(_window_files(directory)) - set(paths):
-        stale.unlink()
-    return paths
+    """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``;
+    every other window file there is deleted."""
+    entries = [(f"window_{item.window_id}.json", write, item) for item in items]
+    return _write_files(Path(out_dir) / sub, entries, _window_files)
 
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
@@ -603,17 +602,67 @@ def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
     return _read_windows(out_dir, "reports", report_from_dict)
 
 
+# The writer is passed at call time, so a wrapper set on ``write_report`` sees every call.
+def write_reports(reports: Sequence[RobustnessReport], out_dir: str | Path) -> list[Path]:
+    return _write_windows(reports, out_dir, "reports", write_report)
+
+
+def _write_ranking(table: RankingTable, path: Path) -> None:
+    _write_csv(
+        ("firm", "mean_werc", "rank", "quartile", "coverage"),
+        ((r.firm, r.mean_werc, r.rank, r.quartile, r.coverage) for r in table.rows),
+        path,
+    )
+
+
 def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> list[Path]:
-    directory = Path(out_dir) / "rankings"
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for table in rankings:
-        path = directory / f"{period_slug(table.period)}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(
-                handle,
-                ("firm", "mean_werc", "rank", "quartile", "coverage"),
-                ((r.firm, r.mean_werc, r.rank, r.quartile, r.coverage) for r in table.rows),
-            )
-        paths.append(path)
-    return paths
+    """One ``rankings/<period>.csv`` per table; every other ``*.csv`` there
+    is deleted."""
+    entries = [(f"{period_slug(table.period)}.csv", _write_ranking, table) for table in rankings]
+    return _write_files(Path(out_dir) / "rankings", entries, lambda d: d.glob("*.csv"))
+
+
+def _median(values: Sequence[float]) -> float:
+    """The middle value, or the mean of the two middle ones: the float
+    ``numpy.median`` gives."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _period_of(label: str, sub_periods: Sequence[SubPeriod]) -> str:
+    for period in sub_periods:
+        if period.contains(label):
+            return period.label
+    return ""
+
+
+def timeseries_rows(
+    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod] = ()
+) -> list[tuple]:
+    """One row per window: id, label, density, normalized Kirchhoff, median
+    clustering, and the sub-period the window falls in (empty when none)."""
+    return [
+        (
+            report.window_id,
+            report.label,
+            report.density,
+            report.normalized_kirchhoff,
+            _median(report.clustering),
+            _period_of(report.label, sub_periods),
+        )
+        for report in sorted(reports, key=lambda r: r.window_id)
+    ]
+
+
+def write_timeseries(
+    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod], out_dir: str | Path
+) -> Path:
+    path = Path(out_dir) / "timeseries.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        ("window", "label", "density", "normalized_kirchhoff", "median_clustering", "period"),
+        timeseries_rows(reports, sub_periods),
+        path,
+    )
+    return path

@@ -7,10 +7,10 @@ import math
 
 import pytest
 
-from risknet.charts import band_chart, emit_charts, line_chart
+from risknet.charts import WeightBand, band_chart, emit_charts, line_chart
 from risknet.errors import RiskNetError
 from risknet.pipeline import analyze_panel
-from risknet.reports import StudyConfig, SubPeriod, WeightBand
+from risknet.reports import StudyConfig, SubPeriod
 from risknet.synthetic import generate_panel
 
 

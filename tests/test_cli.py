@@ -179,6 +179,45 @@ def single_error(capsys, argv):
     return json.loads(line)
 
 
+def test_rerun_replaces_the_tables_and_charts(panel_csv, tmp_path):
+    # a rerun under another period split, or with no band chart to draw,
+    # leaves no table or chart of the earlier run behind
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(out)]) == 0
+    assert main(["rank", "--out", str(out), "--periods", "Q=2007-01..2007-03"]) == 0
+    assert sorted(p.name for p in (out / "rankings").iterdir()) == ["all-periods.csv", "q.csv"]
+    for path in (out / "networks").iterdir():
+        payload = json.loads(path.read_text())
+        payload["edges"] = []
+        path.write_text(json.dumps(payload))
+    assert main(["export-charts", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "charts").iterdir()) == [
+        "density.svg", "median_clustering.svg", "normalized_kirchhoff.svg",
+    ]
+
+
+def test_superscript_window_file_is_not_a_window(panel_csv, tmp_path):
+    # "²".isdigit() holds but int("²") fails: such a file is no window file,
+    # so rank neither reads it nor crashes, and analyze does not delete it
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    stray = out / "reports" / "window_\u00b2.json"
+    stray.write_bytes((out / "reports" / "window_1.json").read_bytes())
+    assert main(["rank", "--out", str(out)]) == 0
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    assert stray.exists()
+
+
+def test_unwritable_chart_gives_error_json(panel_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    blocker = out / "charts" / "density.svg"
+    blocker.mkdir(parents=True)
+    error = single_error(capsys, ["export-charts", "--out", str(out)])
+    assert error["error"] == "IsADirectoryError"
+    assert str(blocker) in error["message"]
+
+
 def test_non_utf8_panel_gives_error_json(panel_csv, tmp_path, capsys):
     corrupt(panel_csv)
     payload = single_error(
@@ -572,3 +611,23 @@ def test_rank_runs_without_numpy(panel_csv, tmp_path):
     (out / "rankings" / "all-periods.csv").unlink()
     assert run_fresh(_RANK_PROBE, str(out))[-2:] == ["0", "False"]
     assert (out / "rankings" / "all-periods.csv").read_bytes() == expected
+
+
+# A module whose body has run holds ``__builtins__``; a lazy placeholder in
+# sys.modules does not, and looking in its __dict__ this way does not run it.
+_CHARTS_PROBE = """
+import sys
+from risknet.cli import main
+code = main(["export-charts", "--out", sys.argv[1]])
+ran = [name for name in ("pipeline", "spectral")
+       if "__builtins__" in object.__getattribute__(sys.modules[f"risknet.{name}"], "__dict__")]
+print(code, *ran)
+"""
+
+
+def test_export_charts_runs_neither_pipeline_nor_spectral(panel_csv, tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(out)]) == 0
+    expected = {p.name: p.read_bytes() for p in (out / "charts").iterdir()}
+    assert run_fresh(_CHARTS_PROBE, str(out))[-1:] == ["0"]
+    assert {p.name: p.read_bytes() for p in (out / "charts").iterdir()} == expected

@@ -11,24 +11,17 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
 from oracles import report_to_dict
 from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
-from risknet.network import DirectedWeights, build_directed
+from risknet.charts import weight_distribution_stats
+from risknet.network import DirectedWeights, build_directed, read_networks
 from risknet.panel import panel_from_rows
-from risknet.pipeline import (
-    analyze_panel,
-    read_networks,
-    timeseries_rows,
-    weight_distribution_stats,
-    window_report,
-    write_study,
-    write_timeseries,
-)
+from risknet.pipeline import analyze_panel, window_report, write_study
 from risknet.reports import (
     ALL_PERIODS,
     RankingRow,
@@ -42,7 +35,11 @@ from risknet.reports import (
     rank_firms,
     read_reports,
     report_from_dict,
+    timeseries_rows,
     write_rankings,
+    write_report,
+    write_reports,
+    write_timeseries,
 )
 from risknet.synthetic import generate_panel, weekday_dates
 from risknet.windows import window_panel
@@ -414,16 +411,26 @@ def reports(draw) -> RobustnessReport:
 @given(reports())
 def test_report_writer_bytes_match_json_dump(report):
     buffer = io.StringIO()
-    pipeline.write_report(report, buffer)
+    write_report(report, buffer)
     text = buffer.getvalue()
     assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
     with tempfile.TemporaryDirectory() as out:
-        pipeline.write_reports([report], out)
+        write_reports([report], out)
         if len(report.analyzed_firms) < 3:
             with pytest.raises(NetworkFormatError, match="at least three vertices"):
                 read_reports(out)
         else:
             assert read_reports(out) == (report,)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(reports())
+def test_timeseries_median_is_numpys(report):
+    # the reports module takes the median without numpy, to the same float
+    assume(report.clustering)
+    (row,) = timeseries_rows([report])
+    with np.errstate(over="ignore"):
+        assert row[4] == float(np.median(report.clustering))
 
 
 @pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])
@@ -432,7 +439,7 @@ def test_report_writer_refuses_non_finite_floats(field, value):
     # past the report's own validation, as json.dump would meet it
     object.__setattr__(report, field, (value, 0.5))
     with pytest.raises(ValueError, match="not JSON compliant"):
-        pipeline.write_report(report, io.StringIO())
+        write_report(report, io.StringIO())
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 

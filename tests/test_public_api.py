@@ -27,22 +27,24 @@ TOP_LEVEL = {
 
 # submodule -> its __all__; an empty set for a module without one
 SUBMODULE_NAMES = {
-    "charts": {"line_chart", "band_chart", "emit_charts"},
+    "charts": {
+        "line_chart", "band_chart", "emit_charts", "WeightBand", "weight_distribution_stats",
+    },
     "cli": set(),
     "errors": set(),
     "network": {
         "Diagnostic", "DirectedWeights", "RiskNetwork", "build_directed", "symmetrize",
-        "density", "network_from_dict", "write_network",
+        "density", "network_from_dict", "write_network", "read_networks",
     },
     "panel": {"ReturnPanel", "load_returns", "save_returns"},
     "pipeline": {
         "StudyResult", "run_study", "build_networks", "analyze_panel", "window_report",
-        "weight_distribution_stats", "timeseries_rows", "write_study", "read_networks",
+        "write_study",
     },
     "reports": {
         "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
-        "WeightBand", "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods",
-        "load_config_file", "rank_firms", "period_slug", "read_reports",
+        "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file",
+        "rank_firms", "period_slug", "read_reports", "timeseries_rows",
     },
     "spectral": {
         "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
