@@ -8,15 +8,15 @@ give identical bytes. No plotting dependency.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import RiskNetError
-from .network import RiskNetwork
-from .reports import RobustnessReport, SubPeriod, _write_files, timeseries_rows
+from .reports import RobustnessReport, SavedNetwork, SubPeriod, _write_files, timeseries_rows
 
 __all__ = ["line_chart", "band_chart", "emit_charts", "WeightBand", "weight_distribution_stats"]
 
@@ -44,34 +44,53 @@ class WeightBand:
     q95: float
 
 
-def weight_distribution_stats(networks: Sequence[RiskNetwork]) -> tuple[WeightBand, ...]:
-    """Mean and 5%/95% band of positive weights, grouped per year.
+def weight_distribution_stats(networks: Sequence[SavedNetwork]) -> tuple[WeightBand, ...]:
+    """Mean and 5%/95% band of positive weights, grouped per year: the
+    floats numpy's ``mean`` and default (``linear``) ``quantile`` give for
+    the year's weights, taken in network and file order.
 
     Groups whose networks carry no positive weight are omitted (logged).
     """
-    buckets: dict[str, list[np.ndarray]] = {}
+    buckets: dict[str, list[float]] = {}
     for net in networks:
-        year = net.label.split("-")[0]
-        iu = np.triu_indices(net.n, k=1)
-        flat = net.weights[iu]
-        buckets.setdefault(year, []).append(flat[flat > 0.0])
+        buckets.setdefault(net.label.split("-")[0], []).extend(net.weights)
     bands = []
     for year in sorted(buckets):
-        weights = np.concatenate(buckets[year])
-        if weights.size == 0:
+        weights = buckets[year]
+        if not weights:
             log.warning("weight stats: no positive weights in %s, group omitted", year)
             continue
-        q05, q95 = np.quantile(weights, [0.05, 0.95])
-        bands.append(
-            WeightBand(
-                group=year,
-                count=int(weights.size),
-                mean=float(weights.mean()),
-                q05=float(q05),
-                q95=float(q95),
-            )
-        )
+        ordered, count = sorted(weights), len(weights)
+        q05, q95 = _quantile(ordered, 0.05), _quantile(ordered, 0.95)
+        bands.append(WeightBand(year, count, _sum(weights) / count, q05, q95))
     return tuple(bands)
+
+
+def _sum(values: Sequence[float]) -> float:
+    """numpy's float64 sum of ``values``, to the last bit: pairwise, as
+    numpy adds (the builtin ``sum`` compensates from Python 3.12)."""
+    n = len(values)
+    if n < 8:  # in order
+        return reduce(add, values, 0.0)
+    if n <= 128:  # 8 strided running sums joined pairwise, then the rest in order
+        end = n - n % 8
+        r = [reduce(add, values[j:end:8]) for j in range(8)]
+        joined = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:], joined)
+    half = n // 2 - n // 2 % 8  # half, rounded down to a multiple of 8
+    return _sum(values[:half]) + _sum(values[half:])
+
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """numpy's default (``linear``) quantile ``q`` of sorted values, to the
+    last bit."""
+    at = (len(ordered) - 1) * q
+    if at >= len(ordered) - 1:
+        return ordered[-1]
+    k = math.floor(at)
+    gamma = at - k
+    a, b = ordered[k], ordered[k + 1]
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 
 
 def _fmt(value: float) -> str:
@@ -231,7 +250,7 @@ _LINE_CHARTS = (
 
 def emit_charts(
     reports: Sequence[RobustnessReport],
-    networks: Sequence[RiskNetwork],
+    networks: Sequence[SavedNetwork],
     sub_periods: Sequence[SubPeriod],
     out_dir: str | Path,
 ) -> list[Path]:

@@ -7,9 +7,11 @@ Subcommands, and the flags each takes besides ``--out``, ``--config`` and
                      write per-window networks only
 * ``analyze``        ``--input --alpha --min-obs --periods --charts``: full
                      study (networks, reports, rankings, timeseries, charts)
-* ``rank``           ``--periods``: recompute ranking tables from saved reports,
-                     without loading numpy
-* ``export-charts``  ``--periods``: render charts from saved reports and networks
+* ``rank``           ``--periods``: recompute ranking tables from saved reports
+* ``export-charts``  ``--periods``: render charts from saved reports and the
+                     saved networks' edge lists, refusing those of two studies
+
+``rank`` and ``export-charts`` run without loading numpy.
 
 All fatal errors, usage errors included, exit 1 with a one-line JSON
 object on stderr: ``{"error": "<type>", "message": "<detail>"}``.
@@ -130,9 +132,8 @@ def _cmd_analyze(config: reports.StudyConfig) -> int:
     result = pipeline.run_study(config)
     pipeline.write_study(result, config, config.out_dir)
     if config.charts:
-        files = charts.emit_charts(
-            result.reports, result.networks, config.sub_periods, config.out_dir
-        )
+        saved = [net.saved() for net in result.networks]
+        files = charts.emit_charts(result.reports, saved, config.sub_periods, config.out_dir)
         print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     print(
         f"analyzed {len(result.reports)} windows "
@@ -152,7 +153,8 @@ def _cmd_rank(config: reports.StudyConfig) -> int:
 
 def _cmd_export_charts(config: reports.StudyConfig) -> int:
     saved = reports.read_reports(config.out_dir)
-    networks = network.read_networks(config.out_dir)
+    networks = reports.read_networks(config.out_dir)
+    reports.check_same_study(saved, networks, config.out_dir)
     files = charts.emit_charts(saved, networks, config.sub_periods, config.out_dir)
     print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     return 0

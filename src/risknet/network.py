@@ -15,6 +15,9 @@ one-sided effect still leaves a (weaker) edge.
 
 Precondition violations by the caller (bad indices, too-small networks)
 raise ValueError; data-driven failures raise the package's typed errors.
+
+This module writes ``networks/``; the saved format and its reader live in
+:mod:`risknet.reports`, beside the report format.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import EstimationError, NetworkFormatError, WindowError
-from .reports import _check_types, _distinct, _field, _read_windows, _write_records, _write_windows
+from .reports import NETWORK_SCHEMA_VERSION, SavedNetwork, _write_records, _write_windows
 from .windows import WindowSlice
 
 __all__ = [
@@ -37,12 +40,8 @@ __all__ = [
     "build_directed",
     "symmetrize",
     "density",
-    "network_from_dict",
     "write_network",
-    "read_networks",
 ]
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,15 @@ class RiskNetwork:
     @property
     def strengths(self) -> np.ndarray:
         return self.weights.sum(axis=1)
+
+    def saved(self) -> SavedNetwork:
+        """The network as its file holds it: the positive upper-triangle
+        weights as ``[i, j, weight]`` columns, in row-major order (i < j)."""
+        rows, cols = np.triu_indices(self.n, k=1)
+        values = self.weights[rows, cols]
+        live = values > 0.0
+        edges = (rows[live].tolist(), cols[live].tolist(), values[live].tolist())
+        return SavedNetwork(self.window_id, self.label, self.firms, *map(tuple, edges))
 
 
 def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
@@ -273,98 +281,18 @@ _EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
 
 
 def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
-    """Write the header and ``edges``, the positive upper-triangle weights
-    as ``[i, j, weight]`` in row-major order (i < j), by :func:`_write_records`."""
+    """Write the header and ``edges``, the columns of :meth:`RiskNetwork.saved`
+    as ``[i, j, weight]`` records, by :func:`_write_records`."""
+    saved = net.saved()
     header = dict(
-        schema_version=SCHEMA_VERSION, window_id=net.window_id, label=net.label, n=net.n,
-        firms=list(net.firms),
+        schema_version=NETWORK_SCHEMA_VERSION, window_id=net.window_id, label=net.label,
+        n=net.n, firms=list(net.firms),
     )
-    rows, cols = np.triu_indices(net.n, k=1)
-    values = net.weights[rows, cols]
-    live = values > 0.0
     # repr of a Python int or finite float is the text json writes for it
-    edges = (rows[live].tolist(), cols[live].tolist(), values[live].tolist())
+    edges = (saved.rows, saved.cols, saved.weights)
     _write_records(target, header, "edges", _EDGE, [map(repr, column) for column in edges])
-
-
-def network_from_dict(payload: dict) -> RiskNetwork:
-    """The network of a saved payload, with schema validation.
-
-    Nothing is coerced (:func:`_field`): ``window_id`` and ``n`` must be
-    integers, ``label`` a string and ``firms`` a list of strings, none
-    twice. Each edge must be a list ``[i, j, weight]``: integers 0 <= i <
-    j < n (a bool, 1.0 or "2" is refused, not truncated), a numeric weight
-    in (0, 1], and no pair twice. An error names the first bad entry.
-    """
-    try:
-        version = _field(payload, "schema_version", "an integer")
-        if version != SCHEMA_VERSION:
-            raise NetworkFormatError(f"unsupported schema version {version!r}")
-        window_id = _field(payload, "window_id", "an integer")
-        label = _field(payload, "label", "a string")
-        n = _field(payload, "n", "an integer")
-        firms = tuple(_distinct("firms", _field(payload, "firms", "a list of strings")))
-        edges = payload["edges"]
-    except (KeyError, TypeError) as exc:
-        raise NetworkFormatError(f"bad network payload: {exc}") from None
-    if n != len(firms):
-        raise NetworkFormatError(f"n={n} but {len(firms)} firms listed")
-    if type(edges) is not list:
-        raise NetworkFormatError(f"bad network payload: edges is a {type(edges).__name__}")
-    weights = np.zeros((n, n))
-    if edges:
-        rows, cols, values = _edge_columns(edges, n)
-        weights[rows, cols] = values
-        weights[cols, rows] = values
-    return RiskNetwork(window_id=window_id, label=label, firms=firms, weights=weights)
-
-
-def read_networks(out_dir: str | Path) -> tuple[RiskNetwork, ...]:
-    return _read_windows(out_dir, "networks", network_from_dict)
 
 
 # The writer is passed at call time, so a wrapper set on ``write_network`` sees every call.
 def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
     return _write_windows(networks, out_dir, "networks", write_network)
-
-
-def _edge_columns(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row indices, column indices and weights of a non-empty edge list.
-
-    Types are checked a column at a time and values in numpy; only when a
-    check fails is the list walked again, for the first offending entry.
-    """
-
-    def first(bad) -> object:
-        return next(entry for entry in edges if bad(entry))
-
-    if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
-        entry = first(lambda e: type(e) is not list or len(e) != 3)
-        raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
-    rows, cols, values = zip(*edges)
-    _check_types(edges, (rows, cols), {int}, "edge indices must be integers: {!r}")
-    try:
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
-        ordered = bool(np.all((rows >= 0) & (rows < cols) & (cols < n)))
-    except OverflowError:  # an integer beyond 64 bits
-        ordered = False
-    if not ordered:
-        entry = first(lambda e: not 0 <= e[0] < e[1] < n)
-        raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
-    _check_types(edges, (values,), {int, float}, "bad edge entry {!r}: weight is not a number")
-    try:
-        weights = np.array(values, dtype=float)
-        in_range = bool(np.all((weights > 0.0) & (weights <= 1.0)))
-    except OverflowError:  # an integer too large for a float
-        in_range = False
-    if not in_range:
-        entry = first(lambda e: not 0.0 < e[2] <= 1.0)
-        raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
-    key = rows * n + cols
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        at = repeats.min()
-        raise NetworkFormatError(f"duplicate edge ({rows[at]}, {cols[at]})")
-    return rows, cols, weights

@@ -6,10 +6,10 @@ clustering, and strength. Windows are independent of each other; they are
 processed in date order so outputs are reproducible byte for byte.
 
 This module owns the loop and ``write_study``, which writes the standard
-output tree through each format's own module: networks by
-:mod:`risknet.network`; reports, period rankings and the time series by
-:mod:`risknet.reports`, which also holds the configuration and the
-periods and imports no numpy. Charts are :mod:`risknet.charts`' business.
+output tree: networks by :mod:`risknet.network`; reports, period
+rankings and the time series by :mod:`risknet.reports`, which also holds
+both saved formats and their readers, the configuration and the periods,
+and imports no numpy. Charts are :mod:`risknet.charts`' business.
 
 Failures stay local: a degenerate or unanalyzable window is logged and
 skipped; only an unreadable input or a study with no usable window at all
@@ -24,13 +24,13 @@ from pathlib import Path
 
 from .errors import ConfigError, RiskNetError, WindowError
 from .network import RiskNetwork, build_directed, density, symmetrize, write_networks
-from .network import read_networks  # looked up here by perfbench/
 from .panel import ReturnPanel, load_returns
 from .reports import (
     RankingTable, RobustnessReport, StudyConfig, rank_firms, write_rankings, write_reports,
     write_timeseries,
 )
-from .reports import parse_periods, read_reports, write_report  # looked up here by perfbench/
+# looked up here by perfbench/
+from .reports import parse_periods, read_networks, read_reports, write_report
 from .spectral import barrat_clustering_all, largest_component, normalized_kirchhoff, werc_all
 from .windows import window_panel
 

@@ -1,12 +1,13 @@
 """Study configuration, sub-periods, saved reports, period rankings and
 the time series: the read side of a study, which imports no numpy, so
-``risknet rank`` needs only this module. Firms are ranked per sub-period
-(and over the whole range) by their average removal impact across the
-windows where they were present, subject to a minimum-coverage rule, with
-quartiles. This module writes ``reports/``, ``rankings/`` and
-``timeseries.csv``, and holds the one writer of every output directory,
-which deletes what an earlier run left there. Saved networks and reports
-share one codec: one record writer and one exact-type checker.
+``risknet rank`` and ``risknet export-charts`` need no numpy. Firms are
+ranked per sub-period (and over the whole range) by their average removal
+impact across the windows where they were present, subject to a
+minimum-coverage rule, with quartiles. This module writes ``reports/``,
+``rankings/`` and ``timeseries.csv``, and holds the one writer of every
+output directory, which deletes what an earlier run left there. Both saved
+formats live here: networks and reports share one codec, one record writer
+and one exact-type checker, and a saved network is read as its edge list.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetErro
 __all__ = [
     "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
     "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file", "rank_firms",
-    "period_slug", "read_reports", "timeseries_rows",
+    "period_slug", "read_reports", "timeseries_rows", "SavedNetwork", "read_networks",
 ]
 
 log = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
 
+NETWORK_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 ALL_PERIODS = "All periods"
 COVERAGE_FLOOR = 0.25
@@ -196,7 +198,9 @@ def config_from_sources(
                 f"min_obs must be an integer, got {file_values['min_obs']!r}"
             ) from None
     if "delimiter" in file_values:
-        kwargs["delimiter"] = file_values["delimiter"]
+        # a stripped value cannot hold a tab, so the two characters \t stand for one
+        delimiter = file_values["delimiter"]
+        kwargs["delimiter"] = "\t" if delimiter == "\\t" else delimiter
     if "periods" in file_values:
         kwargs["sub_periods"] = parse_periods(file_values["periods"])
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
@@ -462,6 +466,71 @@ def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
     return tuple(map(float, _checked(key, values, "a number or 'inf'" if inf else "a number")))
 
 
+@dataclass(frozen=True)
+class SavedNetwork:
+    """A saved network as its file holds it: the header, and the edges
+    ``[i, j, weight]`` as three columns in file order."""
+
+    window_id: int
+    label: str
+    firms: tuple[str, ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    weights: tuple[float, ...]
+
+
+def network_from_dict(payload: dict) -> SavedNetwork:
+    """The network a saved payload holds, with schema validation.
+
+    Nothing is coerced (:func:`_field`): ``window_id`` and ``n`` must be
+    integers, ``label`` a string and ``firms`` a list of strings, none
+    twice. Each edge must be a list ``[i, j, weight]``: integers 0 <= i <
+    j < n (a bool, 1.0 or "2" is refused, not truncated), a numeric weight
+    in (0, 1], read as a float, and no pair twice. Edges are checked a
+    column at a time; only when a check fails is the list walked again,
+    for the first bad entry, which the error names.
+    """
+    try:
+        version = _field(payload, "schema_version", "an integer")
+        if version != NETWORK_SCHEMA_VERSION:
+            raise NetworkFormatError(f"unsupported schema version {version!r}")
+        window_id = _field(payload, "window_id", "an integer")
+        label = _field(payload, "label", "a string")
+        n = _field(payload, "n", "an integer")
+        firms = tuple(_distinct("firms", _field(payload, "firms", "a list of strings")))
+        edges = payload["edges"]
+    except (KeyError, TypeError) as exc:
+        raise NetworkFormatError(f"bad network payload: {exc}") from None
+    if n != len(firms):
+        raise NetworkFormatError(f"n={n} but {len(firms)} firms listed")
+    if type(edges) is not list:
+        raise NetworkFormatError(f"bad network payload: edges is a {type(edges).__name__}")
+
+    def first(bad) -> object:
+        return next(entry for entry in edges if bad(entry))
+
+    rows = cols = weights = ()
+    if edges:
+        if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
+            entry = first(lambda e: type(e) is not list or len(e) != 3)
+            raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
+        rows, cols, weights = zip(*edges)
+        _check_types(edges, (rows, cols), {int}, "edge indices must be integers: {!r}")
+        if not (min(rows) >= 0 and max(cols) < n and all(map(int.__lt__, rows, cols))):
+            entry = first(lambda e: not 0 <= e[0] < e[1] < n)
+            raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
+        _check_types(edges, (weights,), {int, float}, "bad edge entry {!r}: weight is not a number")
+        # no min or max here: a NaN would slip past them
+        if not (all(map((0.0).__lt__, weights)) and all(map((1.0).__ge__, weights))):
+            entry = first(lambda e: not 0.0 < e[2] <= 1.0)
+            raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
+        if len(set(zip(rows, cols))) < len(edges):
+            seen: set = set()
+            i, j = next(pair for pair in zip(rows, cols) if pair in seen or seen.add(pair))
+            raise NetworkFormatError(f"duplicate edge ({i}, {j})")
+    return SavedNetwork(window_id, label, firms, rows, cols, tuple(map(float, weights)))
+
+
 def report_from_dict(payload: dict) -> RobustnessReport:
     """The report a saved payload holds, with schema validation by the
     saved-file checker, column by column: nothing is coerced. Numbers
@@ -547,9 +616,11 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
     _write_records(target, header, "vertices", _VERTEX, (firms, *values))
 
 
-def _window_files(directory: Path) -> list[Path]:
-    """Every ``window_<k>.json`` in the directory, k in digits that ``int`` reads."""
-    return [p for p in directory.glob("window_*.json") if p.stem.split("_", 1)[1].isdecimal()]
+def _window_files(directory: Path) -> dict[Path, int]:
+    """Every ``window_<k>.json`` in the directory, k in digits that ``int``
+    reads, with its k."""
+    files = ((path, path.stem.split("_", 1)[1]) for path in directory.glob("window_*.json"))
+    return {path: int(k) for path, k in files if k.isdecimal()}
 
 
 def _write_files(directory: Path, entries: Iterable[tuple], owned: Callable) -> list[Path]:
@@ -582,7 +653,7 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     directory = Path(out_dir) / sub
     if not directory.is_dir():
         raise NetworkFormatError(f"no {sub} directory under {out_dir}")
-    found = sorted((int(path.stem.split("_", 1)[1]), path) for path in _window_files(directory))
+    found = sorted((k, path) for path, k in _window_files(directory).items())
     if not found:
         # "reports" -> "no report files"
         raise NetworkFormatError(f"no {sub[:-1]} files in {directory}")
@@ -600,6 +671,30 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
 
 def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
     return _read_windows(out_dir, "reports", report_from_dict)
+
+
+def read_networks(out_dir: str | Path) -> tuple[SavedNetwork, ...]:
+    return _read_windows(out_dir, "networks", network_from_dict)
+
+
+def check_same_study(
+    reports: Sequence[RobustnessReport], networks: Sequence[SavedNetwork], out_dir: str | Path
+) -> None:
+    """Refuse saved reports and networks of two studies: each report needs
+    the network of its window, with the same label and firms. A network
+    with no report is fine: ``analyze`` saves those of the windows it skips."""
+    saved = {net.window_id: (net.label, net.firms) for net in networks}
+    for report in reports:
+        k = report.window_id
+        if saved.get(k) == (report.label, report.firms):
+            continue
+        path, other = (
+            {n: p for p, n in _window_files(Path(out_dir) / sub).items()}.get(k)
+            for sub in ("reports", "networks")
+        )
+        if other is None:
+            raise NetworkFormatError(f"{path}: no saved network holds window {k}")
+        raise NetworkFormatError(f"{path} and {other} disagree on the label or firms of window {k}")
 
 
 # The writer is passed at call time, so a wrapper set on ``write_report`` sees every call.

@@ -97,8 +97,9 @@ def test_emit_charts_writes_stable_files(tmp_path):
     panel = generate_panel(10, (2007, 1), (2007, 4), seed=8, stress=None)
     config = StudyConfig(sub_periods=(SubPeriod("P", (2007, 2), (2007, 3)),))
     result = analyze_panel(panel, config)
-    first = emit_charts(result.reports, result.networks, config.sub_periods, tmp_path / "a")
-    second = emit_charts(result.reports, result.networks, config.sub_periods, tmp_path / "b")
+    networks = [net.saved() for net in result.networks]
+    first = emit_charts(result.reports, networks, config.sub_periods, tmp_path / "a")
+    second = emit_charts(result.reports, networks, config.sub_periods, tmp_path / "b")
     assert [p.name for p in first] == [
         "normalized_kirchhoff.svg",
         "density.svg",

@@ -517,6 +517,48 @@ def test_config_delimiter_must_be_one_character(panel_csv, tmp_path, capsys, com
     assert "delimiter must be one character" in error["message"]
 
 
+def test_config_delimiter_can_be_a_tab(panel_csv, tmp_path):
+    # a stripped value cannot hold a tab, so the two characters \t stand for one
+    tabbed = tmp_path / "returns.tsv"
+    tabbed.write_text(panel_csv.read_text().replace(",", "\t"))
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("delimiter = \\t\n")
+    assert main(["build", "--input", str(panel_csv), "--out", str(tmp_path / "comma")]) == 0
+    assert main(["build", "--input", str(tabbed), "--out", str(tmp_path / "tab"),
+                 "--config", str(cfg)]) == 0
+    assert tree_bytes(tmp_path / "tab") == tree_bytes(tmp_path / "comma")
+
+
+def test_export_charts_refuses_reports_and_networks_of_two_studies(tmp_path, capsys):
+    # build writes only networks/, so the reports of an earlier analyze stay
+    for name, start, end in (("early", (2005, 1), (2005, 3)), ("late", (2009, 6), (2009, 8))):
+        panel = generate_panel(10, start, end, seed=13, stress=None)
+        save_returns(panel, tmp_path / f"{name}.csv")
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(tmp_path / "early.csv"), "--out", str(out)]) == 0
+    assert main(["build", "--input", str(tmp_path / "late.csv"), "--out", str(out)]) == 0
+    error = single_error(capsys, ["export-charts", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    report, network = out / "reports" / "window_1.json", out / "networks" / "window_1.json"
+    assert error["message"] == (
+        f"{report} and {network} disagree on the label or firms of window 1"
+    )
+    assert not (out / "charts").exists()
+
+
+def test_export_charts_refuses_a_report_without_its_network(panel_csv, tmp_path, capsys):
+    # a network without a report is fine: analyze saves those of skipped windows
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    (out / "reports" / "window_1.json").unlink()
+    assert main(["export-charts", "--out", str(out)]) == 0
+    (out / "networks" / "window_4.json").unlink()
+    error = single_error(capsys, ["export-charts", "--out", str(out)])
+    assert error["error"] == "NetworkFormatError"
+    report = out / "reports" / "window_4.json"
+    assert error["message"] == f"{report}: no saved network holds window 4"
+
+
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):
     code = main(["rank", "--out", str(tmp_path)])
     assert code == 1
@@ -621,7 +663,7 @@ from risknet.cli import main
 code = main(["export-charts", "--out", sys.argv[1]])
 ran = [name for name in ("pipeline", "spectral")
        if "__builtins__" in object.__getattribute__(sys.modules[f"risknet.{name}"], "__dict__")]
-print(code, *ran)
+print(code, "numpy" in sys.modules, *ran)
 """
 
 
@@ -629,5 +671,5 @@ def test_export_charts_runs_neither_pipeline_nor_spectral(panel_csv, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(out)]) == 0
     expected = {p.name: p.read_bytes() for p in (out / "charts").iterdir()}
-    assert run_fresh(_CHARTS_PROBE, str(out))[-1:] == ["0"]
+    assert run_fresh(_CHARTS_PROBE, str(out))[-2:] == ["0", "False"]
     assert {p.name: p.read_bytes() for p in (out / "charts").iterdir()} == expected

@@ -19,13 +19,14 @@ from oracles import report_to_dict
 from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
 from risknet.charts import weight_distribution_stats
-from risknet.network import DirectedWeights, build_directed, read_networks
+from risknet.network import DirectedWeights, build_directed
 from risknet.panel import panel_from_rows
 from risknet.pipeline import analyze_panel, window_report, write_study
 from risknet.reports import (
     ALL_PERIODS,
     RankingRow,
     RobustnessReport,
+    SavedNetwork,
     StudyConfig,
     SubPeriod,
     config_from_sources,
@@ -33,6 +34,7 @@ from risknet.reports import (
     parse_periods,
     period_slug,
     rank_firms,
+    read_networks,
     read_reports,
     report_from_dict,
     timeseries_rows,
@@ -433,6 +435,47 @@ def test_timeseries_median_is_numpys(report):
         assert row[4] == float(np.median(report.clustering))
 
 
+# crossing numpy's sum cases: fewer than 8, up to 128, and halvings above
+BAND_SIZES = st.one_of(
+    st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 137, 256, 264, 271, 1024, 2047]),
+    st.integers(1, 2100),
+)
+
+
+@st.composite
+def yearly_networks(draw) -> list[SavedNetwork]:
+    """One or two years of positive weights, each split over one or more
+    networks. The statistics read only labels and weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    networks = []
+    for year in ("2005", "2006")[: draw(st.integers(1, 2))]:
+        size = draw(BAND_SIZES)
+        weights = {
+            "uniform": lambda: 1.0 - rng.random(size),
+            "wide": lambda: np.exp(rng.uniform(-700.0, 0.0, size)),
+            "ties": lambda: rng.integers(1, 5, size) / 4,
+        }[draw(st.sampled_from(["uniform", "wide", "ties"]))]().tolist()
+        cuts = sorted(draw(st.lists(st.integers(0, size), max_size=3)))
+        for k, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, size])):
+            label = f"{year}-{k + 1:02d}"
+            networks.append(SavedNetwork(k, label, (), (), (), tuple(weights[lo:hi])))
+    return networks
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(yearly_networks())
+def test_weight_band_floats_are_numpys(networks):
+    # the charts module takes the mean and quantiles without numpy, to the same floats
+    bands = weight_distribution_stats(networks)
+    assert [b.group for b in bands] == sorted({net.label[:4] for net in networks})
+    for band in bands:
+        year = [net.weights for net in networks if net.label.startswith(band.group)]
+        weights = np.concatenate([np.array(w, dtype=float) for w in year])
+        assert band.count == weights.size
+        assert band.mean == float(weights.mean())
+        assert [band.q05, band.q95] == np.quantile(weights, [0.05, 0.95]).tolist()
+
+
 @pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])
 def test_report_writer_refuses_non_finite_floats(field, value):
     report = fake_report(1, "2008-03", ("A", "B"), (0.25, 0.5))
@@ -552,7 +595,7 @@ def test_weight_stats_constant_and_singleton():
     iu = np.triu_indices(4, k=1)
     w[iu] = 0.5
     net = from_weights(w + w.T, label="2003-05")
-    (band,) = weight_distribution_stats([net])
+    (band,) = weight_distribution_stats([net.saved()])
     assert band.group == "2003"
     assert band.mean == 0.5
     assert band.q05 == 0.5 and band.q95 == 0.5
@@ -565,7 +608,7 @@ def test_weight_stats_uniform_monte_carlo():
     for i in range(12):
         n = 40
         upper = np.triu(rng.uniform(size=(n, n)), k=1)
-        nets.append(from_weights(upper + upper.T, label=f"2004-{i + 1:02d}"))
+        nets.append(from_weights(upper + upper.T, label=f"2004-{i + 1:02d}").saved())
     (band,) = weight_distribution_stats(nets)
     assert band.mean == pytest.approx(0.5, abs=0.02)
     assert band.q05 == pytest.approx(0.05, abs=0.02)
@@ -579,7 +622,7 @@ def test_weight_stats_empty_group_omitted(caplog):
         label="2002-01",
     )
     with caplog.at_level("WARNING"):
-        bands = weight_distribution_stats([empty, full])
+        bands = weight_distribution_stats([empty.saved(), full.saved()])
     assert [b.group for b in bands] == ["2002"]
     assert "2001" in caplog.text
 
@@ -631,10 +674,7 @@ def test_write_study_tree_and_readback(tmp_path):
     reports = read_reports(tmp_path)
     assert [r.window_id for r in reports] == [r.window_id for r in result.reports]
     assert reports == result.reports
-    networks = read_networks(tmp_path)
-    assert [n.label for n in networks] == [n.label for n in result.networks]
-    for read, built in zip(networks, result.networks):
-        assert np.array_equal(read.weights, built.weights)
+    assert read_networks(tmp_path) == tuple(net.saved() for net in result.networks)
 
 
 def test_locality_of_window_removal():

@@ -34,7 +34,7 @@ SUBMODULE_NAMES = {
     "errors": set(),
     "network": {
         "Diagnostic", "DirectedWeights", "RiskNetwork", "build_directed", "symmetrize",
-        "density", "network_from_dict", "write_network", "read_networks",
+        "density", "write_network",
     },
     "panel": {"ReturnPanel", "load_returns", "save_returns"},
     "pipeline": {
@@ -44,7 +44,8 @@ SUBMODULE_NAMES = {
     "reports": {
         "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
         "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file",
-        "rank_firms", "period_slug", "read_reports", "timeseries_rows",
+        "rank_firms", "period_slug", "read_reports", "timeseries_rows", "SavedNetwork",
+        "read_networks",
     },
     "spectral": {
         "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
