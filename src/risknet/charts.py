@@ -271,4 +271,4 @@ def emit_charts(
             bands, title="Edge weights by year: mean and 5-95% band"
         )
     entries = [(name, _write_svg, svg) for name, svg in charts.items()]
-    return _write_files(Path(out_dir) / "charts", entries, lambda d: d.glob("*.svg"))
+    return _write_files(out_dir, "charts", entries)

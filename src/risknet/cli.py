@@ -4,7 +4,7 @@ Subcommands, and the flags each takes besides ``--out``, ``--config`` and
 ``-v``:
 
 * ``build``          ``--input --alpha --min-obs``: parse the panel and
-                     write per-window networks only
+                     write per-window networks only, deleting other results
 * ``analyze``        ``--input --alpha --min-obs --periods --charts``: full
                      study (networks, reports, rankings, timeseries, charts)
 * ``rank``           ``--periods``: recompute ranking tables from saved reports

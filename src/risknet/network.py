@@ -25,12 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimationError, NetworkFormatError, WindowError
-from .reports import NETWORK_SCHEMA_VERSION, SavedNetwork, _write_records, _write_windows
+from .reports import (
+    NETWORK_SCHEMA_VERSION, SavedNetwork, _clear_results, _write_records, _write_windows,
+)
 from .windows import WindowSlice
 
 __all__ = [
@@ -280,7 +282,7 @@ def density(net: RiskNetwork) -> float:
 _EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
 
 
-def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
+def write_network(net: RiskNetwork, path: str | Path) -> None:
     """Write the header and ``edges``, the columns of :meth:`RiskNetwork.saved`
     as ``[i, j, weight]`` records, by :func:`_write_records`."""
     saved = net.saved()
@@ -290,9 +292,12 @@ def write_network(net: RiskNetwork, target: str | Path | IO[str]) -> None:
     )
     # repr of a Python int or finite float is the text json writes for it
     edges = (saved.rows, saved.cols, saved.weights)
-    _write_records(target, header, "edges", _EDGE, [map(repr, column) for column in edges])
+    _write_records(path, header, "edges", _EDGE, [map(repr, column) for column in edges])
 
 
 # The writer is passed at call time, so a wrapper set on ``write_network`` sees every call.
 def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
-    return _write_windows(networks, out_dir, "networks", write_network)
+    """New networks start a new study: no result of an earlier one stays."""
+    paths = _write_windows(networks, out_dir, "networks", write_network)
+    _clear_results(out_dir)
+    return paths

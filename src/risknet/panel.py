@@ -16,11 +16,12 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import PanelFormatError
+from .reports import _read_text
 
 __all__ = ["ReturnPanel", "load_returns", "save_returns"]
 
@@ -111,26 +112,33 @@ def _parse_row(cells: list[str]) -> list[float] | None:
     return values
 
 
-def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> ReturnPanel:
-    """Parse a delimited return table into a :class:`ReturnPanel`.
+def _file_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, ends kept, as ``io.StringIO(text, newline="")``
+    yields them, but without its copy of the text at four bytes a character.
+    A piece that ``splitlines`` ends at another separator, such as a form
+    feed or U+2028, joins the next: in a file only CR and LF end a line."""
+    line = ""
+    for piece in text.splitlines(keepends=True):
+        line += piece
+        if piece[-1] in "\r\n":
+            yield line
+            line = ""
+    if line:
+        yield line
 
-    ``source`` may be a path or an open text stream. The first row is a
-    required header ("date" plus one firm identifier per column); data rows
-    carry an ISO date followed by returns, with empty cells meaning missing.
-    Rows are sorted by date. Each row's cells are parsed in one ``float``
-    pass; only a row where that fails or yields NaN or infinite text (see
-    :func:`_parse_row`) is parsed again cell by cell, so parse errors name
-    the 1-based file row, the column involved and the cell's text, and the
-    first bad row in the file is the one named.
+
+def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
+    """Parse the delimited UTF-8 return table at ``path`` into a :class:`ReturnPanel`.
+
+    The first row is a required header ("date" plus one firm identifier per
+    column); data rows carry an ISO date followed by returns, with empty cells
+    meaning missing. Rows are sorted by date. Each row's cells are parsed in
+    one ``float`` pass; only a row where that fails or yields NaN or infinite
+    text (see :func:`_parse_row`) is parsed again cell by cell, so parse errors
+    name the 1-based file row, the column involved and the cell's text, and
+    the first bad row in the file is the one named.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                return load_returns(handle, delimiter=delimiter)
-        except UnicodeDecodeError as exc:
-            raise PanelFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
-
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(_file_lines(_read_text(path, PanelFormatError)), delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
@@ -183,24 +191,15 @@ def load_returns(source: str | Path | IO[str], *, delimiter: str = ",") -> Retur
     return ReturnPanel(dates=dates, firms=firms, returns=returns, mask=mask)
 
 
-def save_returns(panel: ReturnPanel, target: str | Path | IO[str], *, delimiter: str = ",") -> None:
-    """Write a panel back to the delimited text format.
-
-    Values are written with ``repr`` so a load/save cycle is bit-exact;
-    masked entries become empty cells.
-    """
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            save_returns(panel, handle, delimiter=delimiter)
-        return
-
-    writer = csv.writer(target, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(("date",) + panel.firms)
-    for t, date in enumerate(panel.dates):
-        cells = [date.isoformat()]
-        for j in range(panel.n_firms):
-            cells.append(repr(float(panel.returns[t, j])) if panel.mask[t, j] else "")
-        writer.writerow(cells)
+def save_returns(panel: ReturnPanel, path: str | Path) -> None:
+    """Write a panel in the comma-separated format: values by ``repr``, so a
+    load/save cycle is bit-exact, and masked entries as empty cells."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("date",) + panel.firms)
+        for date, values, seen in zip(panel.dates, panel.returns.tolist(), panel.mask.tolist()):
+            cells = [repr(value) if observed else "" for value, observed in zip(values, seen)]
+            writer.writerow([date.isoformat(), *cells])
 
 
 def panel_from_rows(

@@ -140,8 +140,8 @@ def run_study(config: StudyConfig) -> StudyResult:
 
 
 def write_study(result: StudyResult, config: StudyConfig, out_dir: str | Path) -> None:
-    """Write the standard output tree: networks/, reports/, rankings/,
-    timeseries.csv (charts are the chart module's business)."""
+    """Write the standard output tree: networks/, which deletes an earlier
+    study's results, charts included, then reports/, rankings/, timeseries.csv."""
     write_networks(result.networks, out_dir)
     write_reports(result.reports, out_dir)
     write_rankings(result.rankings, out_dir)

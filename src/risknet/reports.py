@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
 
@@ -142,6 +142,16 @@ class StudyConfig:
 _CONFIG_KEYS = ("min_obs", "confidence", "delimiter", "periods")
 
 
+def _read_text(path: str | Path, error: type[RiskNetError]) -> str:
+    """The text of the UTF-8 file at ``path``, line ends kept; a file that is
+    not UTF-8 raises ``error``, naming it. The one reader of every input file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a key=value config file ('#' starts a comment).
 
@@ -149,11 +159,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     complement), delimiter, periods.
     """
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -359,7 +365,7 @@ def _write_csv(header: Sequence[str], rows: Iterable[tuple], path: Path) -> None
 
 
 def _write_records(
-    target: str | Path | IO[str], header: dict, key: str, template: str, columns: Iterable
+    path: str | Path, header: dict, key: str, template: str, columns: Iterable
 ) -> None:
     """Write ``header`` plus ``key``, a list of records, byte for byte as
     ``json.dump(..., indent=2, allow_nan=False)`` and a newline would. Only
@@ -380,11 +386,8 @@ def _write_records(
             parts[2 * j :: 2 * slots] = [fixed[j]] * count
     body = f"[\n{fixed[0]}{''.join(parts[1:])}{fixed[-1]}\n  ]" if count else "[]"
     text = f'{head},\n  "{key}": {body}\n}}\n'
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        target.write(text)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 # What json.load gives each kind of saved value, by the words that name it
@@ -436,26 +439,17 @@ def _distinct(key: str, names: list) -> list:
     return names
 
 
-def read_json(source: str | Path | IO[str], parse: Callable[[dict], _T]) -> _T:
-    """``parse`` of the payload of a saved network or report, from a UTF-8
-    file or a stream; where ``source`` is a path, every error names it."""
-    if not isinstance(source, (str, Path)):
-        try:
-            payload = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise NetworkFormatError(f"invalid JSON: {exc}") from None
-        return parse(payload)
+def read_json(path: str | Path, parse: Callable[[dict], _T]) -> _T:
+    """``parse`` of the payload of the saved network or report at ``path``,
+    a UTF-8 file; every error names it."""
     try:
-        with open(source, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise NetworkFormatError(f"{source} is not UTF-8 text: {exc.reason}") from None
+        payload = json.loads(_read_text(path, NetworkFormatError))
     except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{source}: invalid JSON: {exc}") from None
+        raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
         return parse(payload)
     except RiskNetError as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
@@ -595,7 +589,7 @@ def _json_items(values: Iterable) -> list[str]:
     return text.split(", ") if text else []
 
 
-def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None:
+def write_report(report: RobustnessReport, path: str | Path) -> None:
     """Write the report by :func:`_write_records`, one record per analyzed
     firm under "vertices", with an infinite removal impact as "inf". A
     NaN or infinite float, other than an infinite removal impact, raises
@@ -613,7 +607,7 @@ def write_report(report: RobustnessReport, target: str | Path | IO[str]) -> None
     werc = ["inf" if w == math.inf else w for w in report.werc]
     values = map(_json_items, (werc, report.clustering, report.strength, report.surviving_order))
     firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
-    _write_records(target, header, "vertices", _VERTEX, (firms, *values))
+    _write_records(path, header, "vertices", _VERTEX, (firms, *values))
 
 
 def _window_files(directory: Path) -> dict[Path, int]:
@@ -623,27 +617,41 @@ def _window_files(directory: Path) -> dict[Path, int]:
     return {path: int(k) for path, k in files if k.isdecimal()}
 
 
-def _write_files(directory: Path, entries: Iterable[tuple], owned: Callable) -> list[Path]:
+# The files of each output directory that risknet owns: a run deletes those it does not write.
+_OWNED = {"networks": _window_files, "reports": _window_files,
+          "rankings": lambda d: d.glob("*.csv"), "charts": lambda d: d.glob("*.svg")}
+
+
+def _write_files(out_dir: str | Path, sub: str, entries: Sequence[tuple]) -> list[Path]:
     """Write each (file name, writer, item) entry by ``writer(item, path)``
-    into ``directory``, then delete every file of ``owned(directory)`` that
-    this call did not write, so that the directory's owned files are this
-    run's alone."""
-    directory.mkdir(parents=True, exist_ok=True)
+    into ``<out_dir>/<sub>`` (made only for an entry), then delete each file
+    of ``_OWNED[sub]`` there that this call did not write, so that the
+    directory's owned files are this run's alone."""
+    directory = Path(out_dir) / sub
+    if entries:
+        directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, write, item in entries:
         path = directory / name
         write(item, path)
         paths.append(path)
-    for stale in set(owned(directory)) - set(paths):
+    for stale in set(_OWNED[sub](directory)) - set(paths):
         stale.unlink()
     return paths
+
+
+def _clear_results(out_dir: str | Path) -> None:
+    """Delete the owned files of an earlier study's reports, rankings, charts and time series."""
+    for sub in ("reports", "rankings", "charts"):
+        _write_files(out_dir, sub, ())
+    (Path(out_dir) / "timeseries.csv").unlink(missing_ok=True)
 
 
 def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
     """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``;
     every other window file there is deleted."""
     entries = [(f"window_{item.window_id}.json", write, item) for item in items]
-    return _write_files(Path(out_dir) / sub, entries, _window_files)
+    return _write_files(out_dir, sub, entries)
 
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
@@ -714,7 +722,7 @@ def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> lis
     """One ``rankings/<period>.csv`` per table; every other ``*.csv`` there
     is deleted."""
     entries = [(f"{period_slug(table.period)}.csv", _write_ranking, table) for table in rankings]
-    return _write_files(Path(out_dir) / "rankings", entries, lambda d: d.glob("*.csv"))
+    return _write_files(out_dir, "rankings", entries)
 
 
 def _median(values: Sequence[float]) -> float:

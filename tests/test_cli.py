@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -529,14 +530,23 @@ def test_config_delimiter_can_be_a_tab(panel_csv, tmp_path):
     assert tree_bytes(tmp_path / "tab") == tree_bytes(tmp_path / "comma")
 
 
-def test_export_charts_refuses_reports_and_networks_of_two_studies(tmp_path, capsys):
-    # build writes only networks/, so the reports of an earlier analyze stay
+def study_panels(tmp_path) -> tuple[Path, Path]:
+    """Panels of two studies, 2005-01..03 and 2009-06..08."""
+    paths = []
     for name, start, end in (("early", (2005, 1), (2005, 3)), ("late", (2009, 6), (2009, 8))):
-        panel = generate_panel(10, start, end, seed=13, stress=None)
-        save_returns(panel, tmp_path / f"{name}.csv")
-    out = tmp_path / "out"
-    assert main(["analyze", "--input", str(tmp_path / "early.csv"), "--out", str(out)]) == 0
-    assert main(["build", "--input", str(tmp_path / "late.csv"), "--out", str(out)]) == 0
+        paths.append(tmp_path / f"{name}.csv")
+        save_returns(generate_panel(10, start, end, seed=13, stress=None), paths[-1])
+    return paths[0], paths[1]
+
+
+def test_export_charts_refuses_reports_and_networks_of_two_studies(tmp_path, capsys):
+    # the networks of another study's tree, copied over this one's
+    early, late = study_panels(tmp_path)
+    out, other = tmp_path / "out", tmp_path / "other"
+    assert main(["analyze", "--input", str(early), "--out", str(out)]) == 0
+    assert main(["build", "--input", str(late), "--out", str(other)]) == 0
+    for path in (other / "networks").iterdir():
+        shutil.copyfile(path, out / "networks" / path.name)
     error = single_error(capsys, ["export-charts", "--out", str(out)])
     assert error["error"] == "NetworkFormatError"
     report, network = out / "reports" / "window_1.json", out / "networks" / "window_1.json"
@@ -544,6 +554,35 @@ def test_export_charts_refuses_reports_and_networks_of_two_studies(tmp_path, cap
         f"{report} and {network} disagree on the label or firms of window 1"
     )
     assert not (out / "charts").exists()
+
+
+def test_build_deletes_the_results_of_an_earlier_study(tmp_path, capsys):
+    # else rank would re-rank the 2005 reports beside the 2009 networks
+    early, late = study_panels(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(early), "--charts", "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    # a build that fails before it writes its networks deletes nothing
+    assert main(["build", "--input", str(late), "--out", str(out), "--min-obs", "40"]) == 1
+    assert tree_bytes(out) == before
+    assert main(["build", "--input", str(late), "--out", str(out)]) == 0
+    assert sorted(tree_bytes(out)) == [f"networks/window_{k}.json" for k in (1, 2, 3)]
+    error = single_error(capsys, ["rank", "--out", str(out)])
+    assert error == {
+        "error": "NetworkFormatError", "message": f"no report files in {out / 'reports'}",
+    }
+
+
+def test_analyze_without_charts_deletes_the_charts_of_an_earlier_study(tmp_path):
+    early, late = study_panels(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(early), "--charts", "--out", str(out)]) == 0
+    notes = out / "charts" / "notes.txt"
+    notes.write_text("not risknet's")
+    assert main(["analyze", "--input", str(late), "--out", str(out)]) == 0
+    assert list((out / "charts").glob("*.svg")) == []
+    assert notes.read_text() == "not risknet's"
+    assert (out / "timeseries.csv").read_text().splitlines()[1].startswith("1,2009-06,")
 
 
 def test_export_charts_refuses_a_report_without_its_network(panel_csv, tmp_path, capsys):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import collections
 import dataclasses
 import datetime as dt
-import io
 import json
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_density_and_vertex_stats():
         density(single)
 
 
-def test_json_roundtrip_preserves_weights_bitwise():
+def test_json_roundtrip_preserves_weights_bitwise(tmp_path):
     rng = np.random.default_rng(137)
     for _ in range(5):
         n = int(rng.integers(2, 9))
@@ -292,13 +293,12 @@ def test_json_roundtrip_preserves_weights_bitwise():
         net = symmetrize(
             DirectedWeights(4, "2007-09", tuple(f"F{i:02d}" for i in range(n)), m)
         )
-        buffer = io.StringIO()
-        write_network(net, buffer)
-        again = read_json(io.StringIO(buffer.getvalue()), network_from_dict)
+        write_network(net, tmp_path / "net.json")
+        again = read_json(tmp_path / "net.json", network_from_dict)
         assert again == net.saved()
 
 
-def test_network_payload_validation():
+def test_network_payload_validation(tmp_path):
     base = format_oracle(
         RiskNetwork(1, "2001-01", ("A", "B"), np.array([[0.0, 0.5], [0.5, 0.0]]))
     )
@@ -314,8 +314,10 @@ def test_network_payload_validation():
     dup = dict(base, edges=[[0, 1, 0.5], [0, 1, 0.5]])
     with pytest.raises(NetworkFormatError, match="duplicate edge"):
         network_from_dict(dup)
-    with pytest.raises(NetworkFormatError, match="invalid JSON"):
-        read_json(io.StringIO("{not json"), network_from_dict)
+    bad_json = tmp_path / "window_1.json"
+    bad_json.write_text("{not json", encoding="utf-8")
+    with pytest.raises(NetworkFormatError, match="window_1.json: invalid JSON"):
+        read_json(bad_json, network_from_dict)
 
 
 
@@ -367,11 +369,12 @@ def networks(draw) -> RiskNetwork:
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(networks())
 def test_writer_bytes_match_json_dump_of_the_per_pair_payload(net):
-    buffer = io.StringIO()
-    write_network(net, buffer)
-    text = buffer.getvalue()
-    assert text == json.dumps(format_oracle(net), indent=2) + "\n"
-    assert read_json(io.StringIO(text), network_from_dict) == net.saved()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        write_network(net, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == json.dumps(format_oracle(net), indent=2) + "\n"
+        assert read_json(path, network_from_dict) == net.saved()
 
 
 def test_writer_bytes_match_json_dump_on_a_file(tmp_path):

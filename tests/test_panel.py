@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risknet.errors import PanelFormatError
-from risknet.panel import ReturnPanel, load_returns, panel_from_rows, save_returns
+from risknet.panel import ReturnPanel, _file_lines, load_returns, panel_from_rows, save_returns
 
 
 def _load(text: str, **kwargs) -> ReturnPanel:
-    return load_returns(io.StringIO(text), **kwargs)
+    """``load_returns`` of a file that holds ``text``, line ends as given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_returns(path, **kwargs)
 
 
 def test_basic_parse_shapes_and_order():
@@ -108,7 +114,7 @@ def test_fully_observed_block_mask_all_true():
     assert panel.n_days == 21 and panel.n_firms == 3
 
 
-def test_roundtrip_is_bit_exact():
+def test_roundtrip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     for trial in range(20):
         t, n = int(rng.integers(2, 30)), int(rng.integers(1, 8))
@@ -117,9 +123,8 @@ def test_roundtrip_is_bit_exact():
         dates = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(t)]
         firms = [f"F{j:02d}" for j in range(n)]
         panel = panel_from_rows(dates, firms, values, mask)
-        buffer = io.StringIO()
-        save_returns(panel, buffer)
-        again = _load(buffer.getvalue())
+        save_returns(panel, tmp_path / "panel.csv")
+        again = load_returns(tmp_path / "panel.csv")
         assert again.firms == panel.firms
         assert again.dates == panel.dates
         assert np.array_equal(again.mask, panel.mask)
@@ -273,3 +278,10 @@ def test_loader_matches_the_per_cell_oracle(text):
     assert panel.dates == want.dates and panel.firms == want.firms
     assert panel.returns.tobytes() == want.returns.tobytes()
     assert np.array_equal(panel.mask, want.mask)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.text(alphabet="a,\"\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=16))
+def test_file_lines_are_the_lines_of_a_file(text):
+    # splitlines also breaks at \v, \f, \x1c-\x1e, \x85 and \u2028-9; a file does not
+    assert list(_file_lines(text)) == io.StringIO(text, newline="").readlines()

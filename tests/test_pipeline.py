@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import math
 import re
@@ -20,7 +19,7 @@ from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
 from risknet.charts import weight_distribution_stats
 from risknet.network import DirectedWeights, build_directed
-from risknet.panel import panel_from_rows
+from risknet.panel import load_returns, panel_from_rows
 from risknet.pipeline import analyze_panel, window_report, write_study
 from risknet.reports import (
     ALL_PERIODS,
@@ -145,6 +144,30 @@ def test_config_file_rejects_unknown_or_duplicate_keys(tmp_path):
     noeq.write_text("min_obs 5\n")
     with pytest.raises(ConfigError, match="key=value"):
         load_config_file(noeq)
+
+
+def test_crlf_panel_and_config_read_as_lf(tmp_path):
+    texts = {
+        "panel.csv": "date,A,B\n2001-01-03,0.01,\n\n2001-01-02,-0.02,0.5\n",
+        "study.cfg": "# comment\nmin_obs = 12\nperiods = A=2001-01..2001-12 # one\n",
+        "bad.cfg": "min_obs = 12\nmin_obs 5\n",
+    }
+    read = []
+    for folder, end in (("lf", "\n"), ("crlf", "\r\n")):
+        (tmp_path / folder).mkdir()
+        for name, text in texts.items():
+            path = tmp_path / folder / name
+            path.write_text(text.replace("\n", end), encoding="utf-8", newline="")
+        panel = load_returns(tmp_path / folder / "panel.csv")
+        with pytest.raises(ConfigError) as bad:
+            load_config_file(tmp_path / folder / "bad.cfg")
+        read.append((
+            panel.dates, panel.firms, panel.returns.tobytes(), panel.mask.tobytes(),
+            load_config_file(tmp_path / folder / "study.cfg"), str(bad.value).split(":", 1)[1],
+        ))
+    assert read[1] == read[0]
+    assert read[0][4] == {"min_obs": "12", "periods": "A=2001-01..2001-12"}
+    assert read[0][5] == "2: expected key=value, got 'min_obs 5'"
 
 
 # ---------------------------------------------------------------- reports
@@ -412,12 +435,10 @@ def reports(draw) -> RobustnessReport:
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(reports())
 def test_report_writer_bytes_match_json_dump(report):
-    buffer = io.StringIO()
-    write_report(report, buffer)
-    text = buffer.getvalue()
-    assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
     with tempfile.TemporaryDirectory() as out:
-        write_reports([report], out)
+        (path,) = write_reports([report], out)
+        text = path.read_bytes().decode("utf-8")
+        assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
         if len(report.analyzed_firms) < 3:
             with pytest.raises(NetworkFormatError, match="at least three vertices"):
                 read_reports(out)
@@ -477,12 +498,13 @@ def test_weight_band_floats_are_numpys(networks):
 
 
 @pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])
-def test_report_writer_refuses_non_finite_floats(field, value):
+def test_report_writer_refuses_non_finite_floats(field, value, tmp_path):
     report = fake_report(1, "2008-03", ("A", "B"), (0.25, 0.5))
     # past the report's own validation, as json.dump would meet it
     object.__setattr__(report, field, (value, 0.5))
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_report(report, io.StringIO())
+        write_report(report, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()  # nothing is written
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(report_to_dict(report), indent=2, allow_nan=False)
 
