@@ -16,12 +16,12 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import PanelFormatError
-from .reports import _read_text
+from .reports import _opened
 
 __all__ = ["ReturnPanel", "load_returns", "save_returns"]
 
@@ -112,21 +112,6 @@ def _parse_row(cells: list[str]) -> list[float] | None:
     return values
 
 
-def _file_lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, ends kept, as ``io.StringIO(text, newline="")``
-    yields them, but without its copy of the text at four bytes a character.
-    A piece that ``splitlines`` ends at another separator, such as a form
-    feed or U+2028, joins the next: in a file only CR and LF end a line."""
-    line = ""
-    for piece in text.splitlines(keepends=True):
-        line += piece
-        if piece[-1] in "\r\n":
-            yield line
-            line = ""
-    if line:
-        yield line
-
-
 def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
     """Parse the delimited UTF-8 return table at ``path`` into a :class:`ReturnPanel`.
 
@@ -136,51 +121,54 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
     one ``float`` pass; only a row where that fails or yields NaN or infinite
     text (see :func:`_parse_row`) is parsed again cell by cell, so parse errors
     name the 1-based file row, the column involved and the cell's text, and
-    the first bad row in the file is the one named.
+    the first bad row in the file is the one named. The file is parsed as it
+    is read, so a bad row is named before a byte that is not UTF-8 in a later
+    8 KiB block. A line ends only at CR, LF or CRLF.
     """
-    reader = csv.reader(_file_lines(_read_text(path, PanelFormatError)), delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelFormatError("empty table: no header row") from None
-    if len(header) < 2:
-        raise PanelFormatError("header must list a date column and at least one firm")
-    firms = tuple(name.strip() for name in header[1:])
-    if any(not name for name in firms):
-        raise PanelFormatError("blank firm identifier in header")
-    if len(set(firms)) != len(firms):
-        dupes = sorted({f for f in firms if firms.count(f) > 1})
-        raise PanelFormatError(f"duplicate firm columns: {', '.join(dupes)}")
-
-    rows: list[tuple[dt.date, list[float]]] = []
-    seen: dict[dt.date, int] = {}
-    for row_no, record in enumerate(reader, start=2):
-        if not "".join(record).strip():
-            continue
-        if len(record) != len(firms) + 1:
-            raise PanelFormatError(
-                f"row {row_no}: expected {len(firms) + 1} cells, got {len(record)}"
-            )
-        date_text = record[0].strip()
+    with _opened(path, PanelFormatError) as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
         try:
-            date = dt.date.fromisoformat(date_text)
-        except ValueError:
-            raise PanelFormatError(
-                f"row {row_no}: malformed date {date_text!r}"
-            ) from None
-        if date in seen:
-            raise PanelFormatError(
-                f"row {row_no}: duplicate date {date.isoformat()} "
-                f"(first seen at row {seen[date]})"
-            )
-        seen[date] = row_no
-        values = _parse_row(record[1:])
-        if values is None:
-            values = [
-                _parse_cell(cell, row_no, firms[col])
-                for col, cell in enumerate(record[1:])
-            ]
-        rows.append((date, values))
+            header = next(reader, None)
+            if header is None:
+                raise PanelFormatError("empty table: no header row")
+            if len(header) < 2:
+                raise PanelFormatError("header must list a date column and at least one firm")
+            firms = tuple(name.strip() for name in header[1:])
+            if any(not name for name in firms):
+                raise PanelFormatError("blank firm identifier in header")
+            if len(set(firms)) != len(firms):
+                dupes = sorted({f for f in firms if firms.count(f) > 1})
+                raise PanelFormatError(f"duplicate firm columns: {', '.join(dupes)}")
+
+            rows: list[tuple[dt.date, list[float]]] = []
+            seen: dict[dt.date, int] = {}
+            for row_no, record in enumerate(reader, start=2):
+                if not "".join(record).strip():
+                    continue
+                if len(record) != len(firms) + 1:
+                    raise PanelFormatError(
+                        f"row {row_no}: expected {len(firms) + 1} cells, got {len(record)}"
+                    )
+                date_text = record[0].strip()
+                try:
+                    date = dt.date.fromisoformat(date_text)
+                except ValueError:
+                    raise PanelFormatError(f"row {row_no}: malformed date {date_text!r}") from None
+                if date in seen:
+                    raise PanelFormatError(
+                        f"row {row_no}: duplicate date {date.isoformat()} "
+                        f"(first seen at row {seen[date]})"
+                    )
+                seen[date] = row_no
+                values = _parse_row(record[1:])
+                if values is None:
+                    values = [
+                        _parse_cell(cell, row_no, firms[col])
+                        for col, cell in enumerate(record[1:])
+                    ]
+                rows.append((date, values))
+        except csv.Error as exc:  # such as a cell over the csv module's field size limit
+            raise PanelFormatError(f"row {reader.line_num}: {exc}") from None
 
     if not rows:
         raise PanelFormatError("empty table: no data rows")

@@ -17,9 +17,10 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
 
@@ -142,12 +143,14 @@ class StudyConfig:
 _CONFIG_KEYS = ("min_obs", "confidence", "delimiter", "periods")
 
 
-def _read_text(path: str | Path, error: type[RiskNetError]) -> str:
-    """The text of the UTF-8 file at ``path``, line ends kept; a file that is
-    not UTF-8 raises ``error``, naming it. The one reader of every input file."""
+@contextmanager
+def _opened(path: str | Path, error: type[RiskNetError]) -> Iterator[TextIO]:
+    """The UTF-8 file at ``path``, open for reading with line ends kept; a
+    byte that is not UTF-8, met anywhere in the ``with`` body, raises
+    ``error`` naming the file. The one reader of every input file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+            yield handle
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
 
@@ -159,7 +162,9 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     complement), delimiter, periods.
     """
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
+    with _opened(path, ConfigError) as handle:
+        lines = handle.read().splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -443,7 +448,8 @@ def read_json(path: str | Path, parse: Callable[[dict], _T]) -> _T:
     """``parse`` of the payload of the saved network or report at ``path``,
     a UTF-8 file; every error names it."""
     try:
-        payload = json.loads(_read_text(path, NetworkFormatError))
+        with _opened(path, NetworkFormatError) as handle:
+            payload = json.load(handle)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
@@ -528,11 +534,11 @@ def network_from_dict(payload: dict) -> SavedNetwork:
 def report_from_dict(payload: dict) -> RobustnessReport:
     """The report a saved payload holds, with schema validation by the
     saved-file checker, column by column: nothing is coerced. Numbers
-    must be JSON numbers, and ``werc`` and the Kirchhoff indices may be
-    "inf"; ``window_id`` and each surviving order must be integers (2.7 is
-    refused, not truncated), and a surviving order may be null; ``label``
-    and each ``firm`` must be strings, ``component_note`` a string or null
-    and ``firms`` a list of strings. No name repeats in ``firms``, and the
+    must be JSON numbers, and only ``werc`` may be "inf"; ``window_id``
+    and each surviving order must be integers (2.7 is refused, not
+    truncated), and a surviving order may be null; ``label`` and each
+    ``firm`` must be strings, ``component_note`` a string or null and
+    ``firms`` a list of strings. No name repeats in ``firms``, and the
     vertices' firms are some of ``firms``, in their order, each once. There
     are at least three vertices: no analyzed window has fewer."""
     try:
@@ -556,9 +562,9 @@ def report_from_dict(payload: dict) -> RobustnessReport:
             analyzed_firms=tuple(analyzed),
             component_note=_field(payload, "component_note", "a string or null"),
             density=_numbers("density", [payload["density"]])[0],
-            kirchhoff=_numbers("kirchhoff", [payload["kirchhoff"]], inf=True)[0],
+            kirchhoff=_numbers("kirchhoff", [payload["kirchhoff"]])[0],
             normalized_kirchhoff=_numbers(
-                "normalized_kirchhoff", [payload["normalized_kirchhoff"]], inf=True
+                "normalized_kirchhoff", [payload["normalized_kirchhoff"]]
             )[0],
             werc=_numbers("werc", column["werc"], inf=True),
             clustering=_numbers("clustering", column["clustering"]),

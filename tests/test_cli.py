@@ -228,6 +228,18 @@ def test_non_utf8_panel_gives_error_json(panel_csv, tmp_path, capsys):
     assert str(panel_csv) in payload["message"]
 
 
+def test_cell_over_the_csv_field_limit_gives_error_json(tmp_path, capsys):
+    # the csv module refuses a field longer than 131,072 characters
+    panel = tmp_path / "returns.csv"
+    panel.write_text("date,A,B\n2001-01-02,0.1," + "1" * 200_000 + "\n")
+    for command in ("build", "analyze"):
+        payload = single_error(
+            capsys, [command, "--input", str(panel), "--out", str(tmp_path / "o")]
+        )
+        assert payload["error"] == "PanelFormatError"
+        assert payload["message"] == "row 2: field larger than field limit (131072)"
+
+
 def test_non_utf8_config_gives_error_json(panel_csv, tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("confidence = 0.90\n")
@@ -299,7 +311,7 @@ def infinite_werc_without_order(payload):
 
 
 def infinite_kirchhoff(payload):
-    payload["kirchhoff"] = "inf"
+    payload["kirchhoff"] = math.inf  # the JSON token Infinity: a number, but not finite
 
 
 def nan_density_and_clustering(payload):
@@ -317,7 +329,7 @@ def test_inconsistent_saved_report_is_refused(panel_csv, tmp_path, capsys, edit,
     target = sorted((out / "reports").glob("window_*.json"))[-1]
     payload = json.loads(target.read_text())
     edit(payload)
-    target.write_text(json.dumps(payload))  # NaN goes out as the JSON token NaN
+    target.write_text(json.dumps(payload))  # NaN and inf go out as the JSON tokens NaN and Infinity
     error = single_error(capsys, [command, "--out", str(out)])
     assert error["error"] == "NumericalError"
     assert error["message"].startswith(f"{target}: ")
@@ -373,6 +385,10 @@ def keep_two_vertices(payload):
         (set_vertex("clustering", "0.5"), "clustering must be a number, got '0.5'"),
         (set_vertex("strength", True), "strength must be a number, got True"),
         (set_vertex("werc", False), "werc must be a number or 'inf', got False"),
+        # "inf" is for werc alone: no analyzed window has an infinite Kirchhoff index
+        (set_field("kirchhoff", "inf"), "kirchhoff must be a number, got 'inf'"),
+        (set_field("normalized_kirchhoff", "inf"),
+         "normalized_kirchhoff must be a number, got 'inf'"),
         (set_field("window_id", "3"), "window_id must be an integer, got '3'"),
         (set_field("window_id", 3.0), "window_id must be an integer, got 3.0"),
         (set_field("density", 10**400), "bad report payload"),
@@ -394,7 +410,8 @@ def keep_two_vertices(payload):
     ],
     ids=[
         "order-float", "order-bool", "density-string", "clustering-string",
-        "strength-bool", "werc-bool", "window-string", "window-float", "density-huge",
+        "strength-bool", "werc-bool", "kirchhoff-inf", "normalized-kirchhoff-inf",
+        "window-string", "window-float", "density-huge",
         "firm-int", "label-int", "note-float", "firms-string",
         "firm-repeat", "firm-unlisted", "firm-order", "firms-repeat",
         "no-vertices", "two-vertices",

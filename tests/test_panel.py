@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risknet.errors import PanelFormatError
-from risknet.panel import ReturnPanel, _file_lines, load_returns, panel_from_rows, save_returns
+from risknet.panel import ReturnPanel, load_returns, panel_from_rows, save_returns
 
 
 def _load(text: str, **kwargs) -> ReturnPanel:
@@ -227,6 +227,9 @@ CELLS = mostly(
         st.sampled_from(["1e308", "-1e308", "1.5e308"]),  # finite, but their sum overflows
         st.sampled_from(["", "", " ", "\t", "\u00a0\u2003"]),  # blank or whitespace only
         st.sampled_from([" 0.25", "-0.5 ", "\t1e-3\u00a0", "\u20031.0\u2003"]),  # padded
+        # padded with, or only, characters where str.splitlines ends a line and a file does not
+        st.sampled_from(["\x0b0.5", "0.25\x0c", "\x1c1.0", "\x1d0.5\x1e", "-2e-3\x85",
+                         "\u20280.1", "1\u2029", "\x85"]),
         st.sampled_from(["1_000", "0.0_1"]),
         st.sampled_from(["\u0661\u0662", "\uff10.\uff15", "\u0967e-2"]),  # non-ASCII digits
     ),
@@ -278,10 +281,3 @@ def test_loader_matches_the_per_cell_oracle(text):
     assert panel.dates == want.dates and panel.firms == want.firms
     assert panel.returns.tobytes() == want.returns.tobytes()
     assert np.array_equal(panel.mask, want.mask)
-
-
-@settings(max_examples=500, derandomize=True, deadline=None)
-@given(st.text(alphabet="a,\"\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=16))
-def test_file_lines_are_the_lines_of_a_file(text):
-    # splitlines also breaks at \v, \f, \x1c-\x1e, \x85 and \u2028-9; a file does not
-    assert list(_file_lines(text)) == io.StringIO(text, newline="").readlines()

@@ -4,8 +4,10 @@ review."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,29 @@ def test_error_classes_are_pinned():
         if isinstance(value, type) and issubclass(value, errors.RiskNetError)
     }
     assert defined == ERRORS
+
+
+def _open_modes(node: ast.AST, owner: str = ""):
+    """(innermost enclosing function, mode) of each ``open(...)`` call under
+    ``node``; the mode is None where it is not a string literal."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _open_modes(child, child.name)
+            continue
+        func = getattr(child, "func", None)
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [kw.value for kw in child.keywords if kw.arg == "mode"] + child.args[1:2]
+            mode = modes[0] if modes else ast.Constant("r")
+            yield owner, mode.value if isinstance(mode, ast.Constant) else None
+        yield from _open_modes(child, owner)
+
+
+def test_every_input_file_is_opened_by_reports_opened():
+    # one reader of the panel, the config and saved JSON: any other open() writes
+    readers = [
+        (path.name, owner)
+        for path in sorted(Path(risknet.__file__).parent.glob("*.py"))
+        for owner, mode in _open_modes(ast.parse(path.read_text(encoding="utf-8")))
+        if "w" not in (mode or "")
+    ]
+    assert readers == [("reports.py", "_opened")]
