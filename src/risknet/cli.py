@@ -123,7 +123,7 @@ def _cmd_build(config: reports.StudyConfig) -> int:
     networks, _ = pipeline.build_networks(returns, config)
     if not networks:
         raise RiskNetError("no non-degenerate window in the input")
-    network.write_networks(networks, config.out_dir)
+    reports.write_networks(networks, config.out_dir)
     print(f"wrote {len(networks)} networks under {config.out_dir / 'networks'}")
     return 0
 

@@ -16,23 +16,21 @@ one-sided effect still leaves a (weaker) edge.
 Precondition violations by the caller (bad indices, too-small networks)
 raise ValueError; data-driven failures raise the package's typed errors.
 
-This module writes ``networks/``; the saved format and its reader live in
-:mod:`risknet.reports`, beside the report format.
+This module writes no file: the saved network format, its writer and its
+reader live in :mod:`risknet.reports`, beside the report format.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimationError, NetworkFormatError, WindowError
-from .reports import (
-    NETWORK_SCHEMA_VERSION, SavedNetwork, _clear_results, _write_records, _write_windows,
-)
+from .reports import SavedNetwork
+# looked up here by perfbench/
+from .reports import write_network
 from .windows import WindowSlice
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "build_directed",
     "symmetrize",
     "density",
-    "write_network",
 ]
 
 
@@ -277,27 +274,3 @@ def density(net: RiskNetwork) -> float:
         raise ValueError("density needs at least two vertices")
     return net.m / math.comb(net.n, 2)
 
-
-# One edge in the layout ``json.dump(..., indent=2)`` gives it.
-_EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
-
-
-def write_network(net: RiskNetwork, path: str | Path) -> None:
-    """Write the header and ``edges``, the columns of :meth:`RiskNetwork.saved`
-    as ``[i, j, weight]`` records, by :func:`_write_records`."""
-    saved = net.saved()
-    header = dict(
-        schema_version=NETWORK_SCHEMA_VERSION, window_id=net.window_id, label=net.label,
-        n=net.n, firms=list(net.firms),
-    )
-    # repr of a Python int or finite float is the text json writes for it
-    edges = (saved.rows, saved.cols, saved.weights)
-    _write_records(path, header, "edges", _EDGE, [map(repr, column) for column in edges])
-
-
-# The writer is passed at call time, so a wrapper set on ``write_network`` sees every call.
-def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
-    """New networks start a new study: no result of an earlier one stays."""
-    paths = _write_windows(networks, out_dir, "networks", write_network)
-    _clear_results(out_dir)
-    return paths

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -70,6 +71,15 @@ class ReturnPanel:
         return len(self.firms)
 
 
+def _shown(text: str) -> str:
+    """``repr(text)``; for a cell over several lines (a quote left open makes
+    one of the rest of the file), its first line and a count of the others."""
+    first, *rest = re.split(r"\r\n?|\n", text.rstrip("\r\n"))
+    if not rest:
+        return repr(text)
+    return f"{first!r} and {len(rest)} more line{'s' * (len(rest) > 1)} (an unclosed quote?)"
+
+
 def _parse_cell(text: str, row: int, firm: str) -> float:
     value_text = text.strip()
     if not value_text:
@@ -78,7 +88,7 @@ def _parse_cell(text: str, row: int, firm: str) -> float:
         value = float(value_text)
     except ValueError:
         raise PanelFormatError(
-            f"row {row}, column {firm!r}: not a number: {text!r}"
+            f"row {row}, column {firm!r}: not a number: {_shown(text)}"
         ) from None
     if not np.isfinite(value):
         raise PanelFormatError(
@@ -153,7 +163,9 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
                 try:
                     date = dt.date.fromisoformat(date_text)
                 except ValueError:
-                    raise PanelFormatError(f"row {row_no}: malformed date {date_text!r}") from None
+                    raise PanelFormatError(
+                        f"row {row_no}: malformed date {_shown(date_text)}"
+                    ) from None
                 if date in seen:
                     raise PanelFormatError(
                         f"row {row_no}: duplicate date {date.isoformat()} "

@@ -6,10 +6,10 @@ clustering, and strength. Windows are independent of each other; they are
 processed in date order so outputs are reproducible byte for byte.
 
 This module owns the loop and ``write_study``, which writes the standard
-output tree: networks by :mod:`risknet.network`; reports, period
-rankings and the time series by :mod:`risknet.reports`, which also holds
-both saved formats and their readers, the configuration and the periods,
-and imports no numpy. Charts are :mod:`risknet.charts`' business.
+output tree by :mod:`risknet.reports`: networks, reports, period rankings
+and the time series. That module also holds both saved formats and their
+readers, the configuration and the periods, and imports no numpy. Charts
+are :mod:`risknet.charts`' business.
 
 Failures stay local: a degenerate or unanalyzable window is logged and
 skipped; only an unreadable input or a study with no usable window at all
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, RiskNetError, WindowError
-from .network import RiskNetwork, build_directed, density, symmetrize, write_networks
+from .network import RiskNetwork, build_directed, density, symmetrize
 from .panel import ReturnPanel, load_returns
 from .reports import (
-    RankingTable, RobustnessReport, StudyConfig, rank_firms, write_rankings, write_reports,
-    write_timeseries,
+    RankingTable, RobustnessReport, StudyConfig, rank_firms, write_networks, write_rankings,
+    write_reports, write_timeseries,
 )
 # looked up here by perfbench/
 from .reports import parse_periods, read_networks, read_reports, write_report

@@ -1,13 +1,14 @@
-"""Study configuration, sub-periods, saved reports, period rankings and
-the time series: the read side of a study, which imports no numpy, so
-``risknet rank`` and ``risknet export-charts`` need no numpy. Firms are
-ranked per sub-period (and over the whole range) by their average removal
-impact across the windows where they were present, subject to a
-minimum-coverage rule, with quartiles. This module writes ``reports/``,
-``rankings/`` and ``timeseries.csv``, and holds the one writer of every
-output directory, which deletes what an earlier run left there. Both saved
-formats live here: networks and reports share one codec, one record writer
-and one exact-type checker, and a saved network is read as its edge list.
+"""Study configuration, sub-periods, saved networks and reports, period
+rankings and the time series: the file side of a study, which imports no
+numpy, so ``risknet rank`` and ``risknet export-charts`` need no numpy.
+Firms are ranked per sub-period (and over the whole range) by their
+average removal impact across the windows where they were present,
+subject to a minimum-coverage rule, with quartiles. This module writes
+every output file but the charts, and holds the one writer of every
+output directory, which deletes what an earlier run left there. Both
+saved formats are written and read here: networks and reports share one
+codec, one record writer and one exact-type checker, and a saved network
+is read as its edge list.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
+
+if TYPE_CHECKING:
+    from .network import RiskNetwork
 
 __all__ = [
     "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
@@ -579,20 +583,29 @@ def report_from_dict(payload: dict) -> RobustnessReport:
 
 _VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
 
-# One vertex in the layout ``json.dump(..., indent=2)`` gives it.
-_VERTEX = (
-    '    {\n      "firm": {},\n      "werc": {},\n      "clustering": {},\n'
-    '      "strength": {},\n      "surviving_order": {}\n    }'
-)
+# One vertex and one edge in the layout ``json.dump(..., indent=2)`` gives them.
+_VERTEX = "    {\n" + ",\n".join(f'      "{key}": {{}}' for key in _VERTEX_KEYS) + "\n    }"
+_EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
 
 
 def _json_items(values: Iterable) -> list[str]:
-    """The JSON text of each of ``values`` (numbers, null or "inf"), as
-    ``json.dumps(..., allow_nan=False)`` writes it, from one call of the
-    json module's C encoder: no such text holds ", ". A NaN or infinite
-    float raises ``ValueError``."""
-    text = json.dumps(list(values), allow_nan=False)[1:-1]
-    return text.split(", ") if text else []
+    """The JSON text of each of ``values`` (strings, numbers, null or
+    "inf"), as ``json.dumps(..., allow_nan=False)`` writes it, from one call
+    of the json module's C encoder: no such text holds a line end. A NaN or
+    infinite float raises ``ValueError``."""
+    text = json.dumps(list(values), allow_nan=False, separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
+
+
+def write_network(net: RiskNetwork, path: str | Path) -> None:
+    """Write the header and ``edges``, the columns of ``net.saved()`` as
+    ``[i, j, weight]`` records, by :func:`_write_records`."""
+    saved = net.saved()
+    header = dict(schema_version=NETWORK_SCHEMA_VERSION, window_id=saved.window_id,
+                  label=saved.label, n=len(saved.firms), firms=list(saved.firms))
+    # repr of a Python int or finite float is the text json writes for it
+    edges = (saved.rows, saved.cols, saved.weights)
+    _write_records(path, header, "edges", _EDGE, [map(repr, column) for column in edges])
 
 
 def write_report(report: RobustnessReport, path: str | Path) -> None:
@@ -611,9 +624,9 @@ def write_report(report: RobustnessReport, path: str | Path) -> None:
         "normalized_kirchhoff": report.normalized_kirchhoff,
     }
     werc = ["inf" if w == math.inf else w for w in report.werc]
-    values = map(_json_items, (werc, report.clustering, report.strength, report.surviving_order))
-    firms = map(json.encoder.encode_basestring_ascii, report.analyzed_firms)
-    _write_records(path, header, "vertices", _VERTEX, (firms, *values))
+    values = (werc, report.clustering, report.strength, report.surviving_order)
+    columns = map(_json_items, (report.analyzed_firms, *values))
+    _write_records(path, header, "vertices", _VERTEX, columns)
 
 
 def _window_files(directory: Path) -> dict[Path, int]:
@@ -646,13 +659,6 @@ def _write_files(out_dir: str | Path, sub: str, entries: Sequence[tuple]) -> lis
     return paths
 
 
-def _clear_results(out_dir: str | Path) -> None:
-    """Delete the owned files of an earlier study's reports, rankings, charts and time series."""
-    for sub in ("reports", "rankings", "charts"):
-        _write_files(out_dir, sub, ())
-    (Path(out_dir) / "timeseries.csv").unlink(missing_ok=True)
-
-
 def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> list[Path]:
     """``write`` each item to ``<out_dir>/<sub>/window_<window_id>.json``;
     every other window file there is deleted."""
@@ -662,8 +668,9 @@ def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> lis
 
 def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k. Two
-    files of one k (``window_1.json`` and ``window_01.json``), and a file
-    whose ``window_id`` is not its k, are refused."""
+    files of one k (``window_1.json`` and ``window_01.json``), a file whose
+    ``window_id`` is not its k, and a label that is not a month ``YYYY-MM``
+    after the label of the window before are refused."""
     directory = Path(out_dir) / sub
     if not directory.is_dir():
         raise NetworkFormatError(f"no {sub} directory under {out_dir}")
@@ -675,10 +682,16 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
         if k == other:
             raise NetworkFormatError(f"{path} and {again} both hold window {k}")
     items = tuple(read_json(path, parse) for _, path in found)
-    for (k, path), item in zip(found, items):
+    for (k, path), item, previous in zip(found, items, ("", *(i.label for i in items))):
         if item.window_id != k:
             raise NetworkFormatError(
                 f"{path}: window_id {item.window_id} does not match the file name"
+            )
+        if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", item.label):  # as window_panel writes it
+            raise NetworkFormatError(f"{path}: label {item.label!r} is not a month YYYY-MM")
+        if item.label <= previous:  # YYYY-MM labels sort as their months do
+            raise NetworkFormatError(
+                f"{path}: label {item.label!r} is not after the previous window's, {previous!r}"
             )
     return items
 
@@ -711,7 +724,16 @@ def check_same_study(
         raise NetworkFormatError(f"{path} and {other} disagree on the label or firms of window {k}")
 
 
-# The writer is passed at call time, so a wrapper set on ``write_report`` sees every call.
+# Each writer is passed at call time, so a wrapper set on it sees every call.
+def write_networks(networks: Sequence[RiskNetwork], out_dir: str | Path) -> list[Path]:
+    """New networks start a new study: no result of an earlier one stays."""
+    paths = _write_windows(networks, out_dir, "networks", write_network)
+    for sub in ("reports", "rankings", "charts"):
+        _write_files(out_dir, sub, ())
+    (Path(out_dir) / "timeseries.csv").unlink(missing_ok=True)
+    return paths
+
+
 def write_reports(reports: Sequence[RobustnessReport], out_dir: str | Path) -> list[Path]:
     return _write_windows(reports, out_dir, "reports", write_report)
 

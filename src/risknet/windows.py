@@ -15,6 +15,7 @@ two firms' observed days.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -67,33 +68,22 @@ def window_panel(panel: ReturnPanel, min_obs: int = 15) -> list[WindowSlice]:
     """
     if min_obs < 1:
         raise WindowError(f"min_obs must be positive, got {min_obs}")
-    month_keys = [(d.year, d.month) for d in panel.dates]
     slices: list[WindowSlice] = []
-    order: list[tuple[int, int]] = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for row, key in enumerate(month_keys):
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-
-    for window_id, key in enumerate(order, start=1):
-        rows = np.array(groups[key], dtype=int)
-        sub_mask = panel.mask[rows, :]
-        counts = sub_mask.sum(axis=0)
-        eligible = np.flatnonzero(counts >= min_obs)
-        label = f"{key[0]:04d}-{key[1]:02d}"
+    # dates strictly increase, so each month's rows are one run, start:end
+    end = 0
+    months = groupby(panel.dates, lambda d: (d.year, d.month))
+    for window_id, ((year, month), days) in enumerate(months, start=1):
+        start, end = end, end + sum(1 for _ in days)
+        eligible = np.flatnonzero(panel.mask[start:end].sum(axis=0) >= min_obs)
         firms = tuple(panel.firms[j] for j in eligible)
-        returns = panel.returns[np.ix_(rows, eligible)].copy()
-        mask = sub_mask[:, eligible].copy()
         slices.append(
             WindowSlice(
                 window_id=window_id,
-                label=label,
-                dates=tuple(panel.dates[r] for r in rows),
+                label=f"{year:04d}-{month:02d}",
+                dates=panel.dates[start:end],
                 firms=firms,
-                returns=returns,
-                mask=mask,
+                returns=panel.returns[start:end, eligible].copy(),
+                mask=panel.mask[start:end, eligible].copy(),
                 min_obs=min_obs,
                 degenerate=len(firms) < 2,
             )

@@ -240,6 +240,19 @@ def test_cell_over_the_csv_field_limit_gives_error_json(tmp_path, capsys):
         assert payload["message"] == "row 2: field larger than field limit (131072)"
 
 
+def test_stray_quote_error_quotes_one_line_of_the_cell(tmp_path, capsys):
+    # the quote left open makes one cell of the other 24 lines of the file
+    rows = [f"2001-01-{day:02d},0.001,0.002,0.003" for day in range(2, 28)]
+    rows[1] = rows[1].replace(",0.003", ',"0.003')
+    panel = tmp_path / "returns.csv"
+    panel.write_text("\n".join(["date,A,B,C", *rows]) + "\n")
+    payload = single_error(capsys, ["build", "--input", str(panel), "--out", str(tmp_path / "o")])
+    assert payload["error"] == "PanelFormatError"
+    assert payload["message"] == (
+        "row 3, column 'C': not a number: '0.003' and 24 more lines (an unclosed quote?)"
+    )
+
+
 def test_non_utf8_config_gives_error_json(panel_csv, tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("confidence = 0.90\n")
@@ -396,6 +409,8 @@ def keep_two_vertices(payload):
         # and the note was kept as it came
         (set_vertex("firm", 7), "firm must be a string, got 7"),
         (set_field("label", 200501), "label must be a string, got 200501"),
+        # rank would stop on it with no file named, or count it in the wrong period
+        (set_field("label", "2007-4"), "label '2007-4' is not a month YYYY-MM"),
         (set_field("component_note", 3.5), "component_note must be a string or null, got 3.5"),
         (set_field("firms", "AB"), "firms must be a list, got 'AB'"),
         # typed right, but the lists disagree: rank would count a firm twice
@@ -412,7 +427,7 @@ def keep_two_vertices(payload):
         "order-float", "order-bool", "density-string", "clustering-string",
         "strength-bool", "werc-bool", "kirchhoff-inf", "normalized-kirchhoff-inf",
         "window-string", "window-float", "density-huge",
-        "firm-int", "label-int", "note-float", "firms-string",
+        "firm-int", "label-int", "label-not-month", "note-float", "firms-string",
         "firm-repeat", "firm-unlisted", "firm-order", "firms-repeat",
         "no-vertices", "two-vertices",
     ],
@@ -428,6 +443,23 @@ def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys
     assert error["error"] == "NetworkFormatError"
     assert error["message"].startswith(f"{target}: ")
     assert shown in error["message"]
+
+
+@pytest.mark.parametrize("command, sub", [("rank", "reports"), ("export-charts", "networks")])
+def test_saved_labels_out_of_window_order_are_refused(panel_csv, tmp_path, capsys, command, sub):
+    # window 1 relabelled as March would be counted in March's period
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--out", str(out)]) == 0
+    first = out / sub / "window_1.json"
+    payload = json.loads(first.read_text())
+    payload["label"] = "2007-03"
+    first.write_text(json.dumps(payload))
+    error = single_error(capsys, [command, "--out", str(out)])
+    assert error == {
+        "error": "NetworkFormatError",
+        "message": f"{out / sub / 'window_2.json'}: label '2007-02' is not after "
+        "the previous window's, '2007-03'",
+    }
 
 
 @pytest.mark.parametrize(

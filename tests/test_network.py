@@ -25,10 +25,9 @@ from risknet.network import (
     build_directed,
     density,
     symmetrize,
-    write_network,
 )
 from risknet.panel import panel_from_rows
-from risknet.reports import SavedNetwork, network_from_dict, read_json
+from risknet.reports import SavedNetwork, network_from_dict, read_json, write_network
 from risknet.windows import WindowSlice, window_panel
 
 

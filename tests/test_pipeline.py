@@ -403,6 +403,10 @@ NAMES = st.one_of(
         ['Q"uote', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "Zürich Rück", "東京海上"]
     ),
 )
+# any text, or a month as window_panel writes it, so both sides of the reader's label check run
+LABELS = st.one_of(
+    NAMES, st.builds("{:04d}-{:02d}".format, st.integers(0, 9999), st.integers(1, 12))
+)
 FLOATS = st.one_of(
     st.sampled_from([5e-324, 1.0, 1e-05, -0.0]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -418,7 +422,7 @@ def reports(draw) -> RobustnessReport:
     cut = [draw(st.booleans()) for _ in analyzed]
     return RobustnessReport(
         window_id=draw(st.integers(0, 10**6)),
-        label=draw(NAMES),
+        label=draw(LABELS),
         firms=tuple(firms),
         analyzed_firms=tuple(analyzed),
         component_note=draw(st.one_of(st.none(), NAMES)),
@@ -441,6 +445,9 @@ def test_report_writer_bytes_match_json_dump(report):
         assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
         if len(report.analyzed_firms) < 3:
             with pytest.raises(NetworkFormatError, match="at least three vertices"):
+                read_reports(out)
+        elif not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", report.label):
+            with pytest.raises(NetworkFormatError, match="is not a month YYYY-MM"):
                 read_reports(out)
         else:
             assert read_reports(out) == (report,)

@@ -36,7 +36,7 @@ SUBMODULE_NAMES = {
     "errors": set(),
     "network": {
         "Diagnostic", "DirectedWeights", "RiskNetwork", "build_directed", "symmetrize",
-        "density", "write_network",
+        "density",
     },
     "panel": {"ReturnPanel", "load_returns", "save_returns"},
     "pipeline": {
@@ -123,3 +123,17 @@ def test_every_input_file_is_opened_by_reports_opened():
         if "w" not in (mode or "")
     ]
     assert readers == [("reports.py", "_opened")]
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a format or a policy stays behind its one module; the two shared
+    # helpers are the one opener of input files and the one directory writer
+    imported = {
+        (path.stem, node.module, alias.name)
+        for path in sorted(Path(risknet.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("risknet"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported == {("panel", "reports", "_opened"), ("charts", "reports", "_write_files")}
