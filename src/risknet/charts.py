@@ -11,9 +11,10 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain, groupby
 from operator import add
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import RiskNetError
 from .reports import RobustnessReport, SavedNetwork, SubPeriod, _write_files, timeseries_rows
@@ -44,19 +45,19 @@ class WeightBand:
     q95: float
 
 
-def weight_distribution_stats(networks: Sequence[SavedNetwork]) -> tuple[WeightBand, ...]:
+def weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[WeightBand, ...]:
     """Mean and 5%/95% band of positive weights, grouped per year: the
     floats numpy's ``mean`` and default (``linear``) ``quantile`` give for
-    the year's weights, taken in network and file order.
-
-    Groups whose networks carry no positive weight are omitted (logged).
+    the year's weights, in network and file order. The networks are read
+    once, in window order; a year after a later one raises ``ValueError``,
+    and a year with no positive weight is omitted (logged).
     """
-    buckets: dict[str, list[float]] = {}
-    for net in networks:
-        buckets.setdefault(net.label.split("-")[0], []).extend(net.weights)
-    bands = []
-    for year in sorted(buckets):
-        weights = buckets[year]
+    bands, previous = [], ""
+    for year, group in groupby(networks, key=lambda net: net.label.split("-")[0]):
+        if year < previous:
+            raise ValueError(f"networks of {year} come after those of {previous}")
+        previous = year
+        weights = list(chain.from_iterable(net.weights for net in group))
         if not weights:
             log.warning("weight stats: no positive weights in %s, group omitted", year)
             continue
@@ -250,12 +251,12 @@ _LINE_CHARTS = (
 
 def emit_charts(
     reports: Sequence[RobustnessReport],
-    networks: Sequence[SavedNetwork],
+    networks: Iterable[SavedNetwork],
     sub_periods: Sequence[SubPeriod],
     out_dir: str | Path,
 ) -> list[Path]:
-    """Write the study's charts into ``charts/``, deleting every other
-    ``*.svg`` there; returns the files written."""
+    """Write the study's charts into ``charts/`` once ``networks`` (in window
+    order) are read, deleting every other ``*.svg`` there; returns the files written."""
     rows = timeseries_rows(reports, sub_periods)
     marks = _boundaries(rows, sub_periods)
     ticks = _window_ticks(rows)

@@ -132,7 +132,7 @@ def _cmd_analyze(config: reports.StudyConfig) -> int:
     result = pipeline.run_study(config)
     pipeline.write_study(result, config, config.out_dir)
     if config.charts:
-        saved = [net.saved() for net in result.networks]
+        saved = (net.saved() for net in result.networks)
         files = charts.emit_charts(result.reports, saved, config.sub_periods, config.out_dir)
         print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     print(
@@ -153,8 +153,7 @@ def _cmd_rank(config: reports.StudyConfig) -> int:
 
 def _cmd_export_charts(config: reports.StudyConfig) -> int:
     saved = reports.read_reports(config.out_dir)
-    networks = reports.read_networks(config.out_dir)
-    reports.check_same_study(saved, networks, config.out_dir)
+    networks = reports.check_same_study(saved, reports.read_networks(config.out_dir), config.out_dir)
     files = charts.emit_charts(saved, networks, config.sub_periods, config.out_dir)
     print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
     return 0

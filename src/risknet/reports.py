@@ -43,7 +43,7 @@ REPORT_SCHEMA_VERSION = 1
 ALL_PERIODS = "All periods"
 COVERAGE_FLOOR = 0.25
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
 
 
 def _parse_month(text: str) -> tuple[int, int]:
@@ -666,11 +666,11 @@ def _write_windows(items: Sequence, out_dir: str | Path, sub: str, write) -> lis
     return _write_files(out_dir, sub, entries)
 
 
-def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
-    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k. Two
-    files of one k (``window_1.json`` and ``window_01.json``), a file whose
-    ``window_id`` is not its k, and a label that is not a month ``YYYY-MM``
-    after the label of the window before are refused."""
+def _read_windows(out_dir: str | Path, sub: str, parse) -> Iterator:
+    """``parse`` of every ``<out_dir>/<sub>/window_<k>.json``, by k, one at
+    a time. Two files of one k (``window_1.json`` and ``window_01.json``), a
+    file whose ``window_id`` is not its k, and a label that is not a month
+    ``YYYY-MM`` after the label of the window before are refused."""
     directory = Path(out_dir) / sub
     if not directory.is_dir():
         raise NetworkFormatError(f"no {sub} directory under {out_dir}")
@@ -681,8 +681,9 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
     for (k, path), (other, again) in zip(found, found[1:]):
         if k == other:
             raise NetworkFormatError(f"{path} and {again} both hold window {k}")
-    items = tuple(read_json(path, parse) for _, path in found)
-    for (k, path), item, previous in zip(found, items, ("", *(i.label for i in items))):
+    previous = ""
+    for k, path in found:
+        item = read_json(path, parse)
         if item.window_id != k:
             raise NetworkFormatError(
                 f"{path}: window_id {item.window_id} does not match the file name"
@@ -693,24 +694,28 @@ def _read_windows(out_dir: str | Path, sub: str, parse) -> tuple:
             raise NetworkFormatError(
                 f"{path}: label {item.label!r} is not after the previous window's, {previous!r}"
             )
-    return items
+        previous = item.label
+        yield item
 
 
 def read_reports(out_dir: str | Path) -> tuple[RobustnessReport, ...]:
-    return _read_windows(out_dir, "reports", report_from_dict)
+    return tuple(_read_windows(out_dir, "reports", report_from_dict))
 
 
-def read_networks(out_dir: str | Path) -> tuple[SavedNetwork, ...]:
+def read_networks(out_dir: str | Path) -> Iterator[SavedNetwork]:
     return _read_windows(out_dir, "networks", network_from_dict)
 
 
 def check_same_study(
-    reports: Sequence[RobustnessReport], networks: Sequence[SavedNetwork], out_dir: str | Path
-) -> None:
-    """Refuse saved reports and networks of two studies: each report needs
-    the network of its window, with the same label and firms. A network
-    with no report is fine: ``analyze`` saves those of the windows it skips."""
-    saved = {net.window_id: (net.label, net.firms) for net in networks}
+    reports: Sequence[RobustnessReport], networks: Iterable[SavedNetwork], out_dir: str | Path
+) -> Iterator[SavedNetwork]:
+    """``networks`` passed through, then a refusal of reports and networks of two
+    studies: each report needs the network of its window, with the same label and
+    firms. A network with no report is fine: ``analyze`` saves those of skipped windows."""
+    saved = {}
+    for net in networks:
+        saved[net.window_id] = (net.label, net.firms)
+        yield net
     for report in reports:
         k = report.window_id
         if saved.get(k) == (report.label, report.firms):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -645,6 +647,37 @@ def test_export_charts_refuses_a_report_without_its_network(panel_csv, tmp_path,
     assert error["error"] == "NetworkFormatError"
     report = out / "reports" / "window_4.json"
     assert error["message"] == f"{report}: no saved network holds window 4"
+
+
+@pytest.mark.parametrize("command", ["analyze", "export-charts"])
+def test_saved_networks_pass_one_window_at_a_time(tmp_path, monkeypatch, command):
+    # the band chart needs one year at a time, so no command holds a study's networks
+    from risknet import network, reports
+
+    panel = tmp_path / "returns.csv"
+    save_returns(generate_panel(6, (2005, 11), (2006, 2), seed=13, stress=None), panel)
+    out = tmp_path / "out"
+    analyze = ["analyze", "--input", str(panel), "--charts", "--out", str(out)]
+    assert main(analyze) == 0
+    made, alive = {}, {}  # by label: the last network made, and the networks alive then
+
+    def watched(make):
+        def wrapper(*args):
+            saved = make(*args)
+            gc.collect()
+            alive[saved.label] = sorted(label for label, ref in made.items() if ref())
+            made[saved.label] = weakref.ref(saved)
+            return saved
+
+        return wrapper
+
+    monkeypatch.setattr(network.RiskNetwork, "saved", watched(network.RiskNetwork.saved))
+    monkeypatch.setattr(reports, "network_from_dict", watched(reports.network_from_dict))
+    assert main(analyze if command == "analyze" else [command, "--out", str(out)]) == 0
+    assert sorted(alive) == ["2005-11", "2005-12", "2006-01", "2006-02"]
+    # the network just handed over may still be held by its consumer, no other
+    assert alive["2006-01"] == ["2005-12"]
+    assert alive["2006-02"] == ["2006-01"]
 
 
 def test_rank_on_empty_directory_fails_cleanly(tmp_path, capsys):

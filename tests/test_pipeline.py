@@ -91,6 +91,10 @@ def test_period_parsing_and_slug():
     assert period_slug("All periods") == "all-periods"
     with pytest.raises(ConfigError, match="month out of range"):
         parse_periods("X=2003-13..2004-01")
+    # saved labels are ASCII YYYY-MM, so digits of other scripts make no month
+    for text in ("A=２００８-０１..2009-１２", "A=2008-٠١..2009-12"):
+        with pytest.raises(ConfigError, match="malformed month"):
+            parse_periods(text)
     with pytest.raises(ConfigError, match="expected Name"):
         parse_periods("just-a-range")
 
@@ -403,10 +407,9 @@ NAMES = st.one_of(
         ['Q"uote', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "Zürich Rück", "東京海上"]
     ),
 )
-# any text, or a month as window_panel writes it, so both sides of the reader's label check run
-LABELS = st.one_of(
-    NAMES, st.builds("{:04d}-{:02d}".format, st.integers(0, 9999), st.integers(1, 12))
-)
+# a month as window_panel writes it, or any text, for both sides of the reader's label check
+MONTHS = st.builds("{:04d}-{:02d}".format, st.integers(0, 9999), st.integers(1, 12))
+LABELS = st.one_of(MONTHS, NAMES)
 FLOATS = st.one_of(
     st.sampled_from([5e-324, 1.0, 1e-05, -0.0]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -415,14 +418,19 @@ FLOATS = st.one_of(
 
 @st.composite
 def reports(draw) -> RobustnessReport:
-    """Reports of 0-8 analyzed firms among 0-10, each with a finite
-    removal impact or an infinite one and its surviving order."""
-    firms = draw(st.lists(NAMES, max_size=10, unique=True))
-    analyzed = [f for f in firms if draw(st.booleans())]
+    """Reports of 0-10 analyzed firms among 0-10, each with a finite
+    removal impact or an infinite one and its surviving order. Most are as
+    an analyzed window's, with three or more analyzed firms and a month
+    label, so they reach the reader; about one in four may have fewer
+    firms, and one in four any label."""
+    least = 3 * (draw(st.integers(0, 3)) > 0)
+    firms = draw(st.lists(NAMES, min_size=least, max_size=10, unique=True))
+    picked = draw(st.sets(st.integers(0, max(len(firms) - 1, 0)), min_size=least))
+    analyzed = [f for k, f in enumerate(firms) if k in picked]
     cut = [draw(st.booleans()) for _ in analyzed]
     return RobustnessReport(
         window_id=draw(st.integers(0, 10**6)),
-        label=draw(LABELS),
+        label=draw(MONTHS if draw(st.integers(0, 3)) else LABELS),
         firms=tuple(firms),
         analyzed_firms=tuple(analyzed),
         component_note=draw(st.one_of(st.none(), NAMES)),
@@ -656,6 +664,17 @@ def test_weight_stats_empty_group_omitted(caplog):
     assert "2001" in caplog.text
 
 
+def test_weight_stats_read_networks_once_in_window_order():
+    nets = [
+        from_weights(np.full((3, 3), 0.25) * (1 - np.eye(3)), label=label).saved()
+        for label in ("2004-11", "2004-12", "2005-01")
+    ]
+    assert weight_distribution_stats(iter(nets)) == weight_distribution_stats(nets)
+    # a year that comes back would split into two bands
+    with pytest.raises(ValueError, match="networks of 2004 come after those of 2005"):
+        weight_distribution_stats([nets[0], nets[2], nets[1]])
+
+
 def test_timeseries_rows_and_export(tmp_path):
     reports = [
         fake_report(2, "2001-02", ("A", "B", "C"), (0.1, 0.2, 0.3)),
@@ -703,7 +722,7 @@ def test_write_study_tree_and_readback(tmp_path):
     reports = read_reports(tmp_path)
     assert [r.window_id for r in reports] == [r.window_id for r in result.reports]
     assert reports == result.reports
-    assert read_networks(tmp_path) == tuple(net.saved() for net in result.networks)
+    assert tuple(read_networks(tmp_path)) == tuple(net.saved() for net in result.networks)
 
 
 def test_locality_of_window_removal():
