@@ -78,8 +78,8 @@ def _add_command(sub, name: str, summary: str, *, panel: bool = False, periods: 
     parser.add_argument("--config", help="key=value config file")
     if panel:
         parser.add_argument("--input", required=True, type=Path, help="return panel CSV")
-        parser.add_argument("--alpha", type=float, help="tail level (default 0.05)")
-        parser.add_argument("--min-obs", type=int, help="eligibility floor per window")
+        parser.add_argument("--alpha", help="tail level (default 0.05)")
+        parser.add_argument("--min-obs", help="eligibility floor per window")
     if periods:
         parser.add_argument(
             "--periods",
@@ -106,56 +106,52 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> reports.StudyConfig:
     """Config-file values overridden by the flags this subcommand takes."""
     flags = vars(args)
-    periods = flags.get("periods")
     return reports.config_from_sources(
         reports.load_config_file(args.config) if args.config else None,
-        input_path=flags.get("input"),
-        out_dir=args.out,
         alpha=flags.get("alpha"),
         min_obs=flags.get("min_obs"),
-        sub_periods=reports.parse_periods(periods) if periods is not None else None,
-        charts=flags.get("charts"),
+        periods=flags.get("periods"),
     )
 
 
-def _cmd_build(config: reports.StudyConfig) -> int:
-    returns = panel.load_returns(config.input_path, delimiter=config.delimiter)
+def _cmd_build(args: argparse.Namespace, config: reports.StudyConfig) -> int:
+    returns = panel.load_returns(args.input, delimiter=config.delimiter)
     networks, _ = pipeline.build_networks(returns, config)
     if not networks:
         raise RiskNetError("no non-degenerate window in the input")
-    reports.write_networks(networks, config.out_dir)
-    print(f"wrote {len(networks)} networks under {config.out_dir / 'networks'}")
+    reports.write_networks(networks, args.out)
+    print(f"wrote {len(networks)} networks under {args.out / 'networks'}")
     return 0
 
 
-def _cmd_analyze(config: reports.StudyConfig) -> int:
-    result = pipeline.run_study(config)
-    pipeline.write_study(result, config, config.out_dir)
-    if config.charts:
+def _cmd_analyze(args: argparse.Namespace, config: reports.StudyConfig) -> int:
+    result = pipeline.run_study(args.input, config)
+    pipeline.write_study(result, config, args.out)
+    if args.charts:
         saved = (net.saved() for net in result.networks)
-        files = charts.emit_charts(result.reports, saved, config.sub_periods, config.out_dir)
-        print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
+        files = charts.emit_charts(result.reports, saved, config.sub_periods, args.out)
+        print(f"wrote {len(files)} charts under {args.out / 'charts'}")
     print(
         f"analyzed {len(result.reports)} windows "
         f"({len(result.skipped)} skipped), "
-        f"{len(result.rankings)} ranking tables under {config.out_dir}"
+        f"{len(result.rankings)} ranking tables under {args.out}"
     )
     return 0
 
 
-def _cmd_rank(config: reports.StudyConfig) -> int:
-    saved = reports.read_reports(config.out_dir)
+def _cmd_rank(args: argparse.Namespace, config: reports.StudyConfig) -> int:
+    saved = reports.read_reports(args.out)
     tables = reports.rank_firms(saved, config.sub_periods)
-    paths = reports.write_rankings(tables, config.out_dir)
-    print(f"wrote {len(paths)} ranking tables under {config.out_dir / 'rankings'}")
+    paths = reports.write_rankings(tables, args.out)
+    print(f"wrote {len(paths)} ranking tables under {args.out / 'rankings'}")
     return 0
 
 
-def _cmd_export_charts(config: reports.StudyConfig) -> int:
-    saved = reports.read_reports(config.out_dir)
-    networks = reports.check_same_study(saved, reports.read_networks(config.out_dir), config.out_dir)
-    files = charts.emit_charts(saved, networks, config.sub_periods, config.out_dir)
-    print(f"wrote {len(files)} charts under {config.out_dir / 'charts'}")
+def _cmd_export_charts(args: argparse.Namespace, config: reports.StudyConfig) -> int:
+    saved = reports.read_reports(args.out)
+    networks = reports.check_same_study(saved, reports.read_networks(args.out), args.out)
+    files = charts.emit_charts(saved, networks, config.sub_periods, args.out)
+    print(f"wrote {len(files)} charts under {args.out / 'charts'}")
     return 0
 
 
@@ -175,8 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args, _config_from_args(args))
     except (RiskNetError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

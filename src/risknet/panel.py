@@ -80,11 +80,18 @@ def _shown(text: str) -> str:
     return f"{first!r} and {len(rest)} more line{'s' * (len(rest) > 1)} (an unclosed quote?)"
 
 
+def _underflows(text: str) -> bool:
+    """Whether number text that reads as 0.0 has a nonzero mantissa, as ``1e-400``."""
+    return bool(text.strip().lower().partition("e")[0].strip("+-.0"))
+
+
 def _parse_cell(text: str, row: int, firm: str) -> float:
     value_text = text.strip()
     if not value_text:
         return float("nan")
     try:
+        if not value_text.isascii() or "_" in value_text:  # float() reads both
+            raise ValueError
         value = float(value_text)
     except ValueError:
         raise PanelFormatError(
@@ -94,6 +101,8 @@ def _parse_cell(text: str, row: int, firm: str) -> float:
         raise PanelFormatError(
             f"row {row}, column {firm!r}: non-finite value {text!r}"
         )
+    if value == 0.0 and _underflows(value_text):
+        raise PanelFormatError(f"row {row}, column {firm!r}: nonzero {text!r} underflows to 0.0")
     return value
 
 
@@ -105,7 +114,7 @@ _EMPTY_AS_NAN = {"": "nan"}
 def _parse_row(cells: list[str]) -> list[float] | None:
     """The row's values, NaN for its empty cells, in one ``float`` pass;
     None when :func:`_parse_cell` must go through it: a cell that is
-    whitespace only, not a number, or NaN or infinite text.
+    whitespace only, not a number, NaN or infinite text, or an underflow.
 
     ``float`` strips the same whitespace as ``str.strip``.
     """
@@ -119,7 +128,8 @@ def _parse_row(cells: list[str]) -> list[float] | None:
         row = np.array(values)
         if np.isinf(row).any() or np.isnan(row).sum() != cells.count(""):
             return None
-    return values
+    underflow = 0.0 in values and any(_underflows(c) for c, v in zip(cells, values) if v == 0.0)
+    return None if underflow else values
 
 
 def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
@@ -128,12 +138,12 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
     The first row is a required header ("date" plus one firm identifier per
     column); data rows carry an ISO date followed by returns, with empty cells
     meaning missing. Rows are sorted by date. Each row's cells are parsed in
-    one ``float`` pass; only a row where that fails or yields NaN or infinite
-    text (see :func:`_parse_row`) is parsed again cell by cell, so parse errors
-    name the 1-based file row, the column involved and the cell's text, and
-    the first bad row in the file is the one named. The file is parsed as it
-    is read, so a bad row is named before a byte that is not UTF-8 in a later
-    8 KiB block. A line ends only at CR, LF or CRLF.
+    one ``float`` pass; only a row whose text is not ASCII or holds ``_``, or
+    where that pass fails (see :func:`_parse_row`), is parsed again cell by
+    cell, so parse errors name the 1-based file row, the column involved and
+    the cell's text, and the first bad row in the file is the one named. The
+    file is parsed as it is read, so a bad row is named before a byte that is
+    not UTF-8 in a later 8 KiB block. A line ends only at CR, LF or CRLF.
     """
     with _opened(path, PanelFormatError) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -153,7 +163,7 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
             rows: list[tuple[dt.date, list[float]]] = []
             seen: dict[dt.date, int] = {}
             for row_no, record in enumerate(reader, start=2):
-                if not "".join(record).strip():
+                if not (text := "".join(record)).strip():
                     continue
                 if len(record) != len(firms) + 1:
                     raise PanelFormatError(
@@ -172,7 +182,7 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
                         f"(first seen at row {seen[date]})"
                     )
                 seen[date] = row_no
-                values = _parse_row(record[1:])
+                values = _parse_row(record[1:]) if text.isascii() and "_" not in text else None
                 if values is None:
                     values = [
                         _parse_cell(cell, row_no, firms[col])

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, RiskNetError, WindowError
+from .errors import RiskNetError, WindowError
 from .network import RiskNetwork, build_directed, density, symmetrize
 from .panel import ReturnPanel, load_returns
 from .reports import (
@@ -125,17 +125,10 @@ def analyze_panel(panel: ReturnPanel, config: StudyConfig) -> StudyResult:
     )
 
 
-def run_study(config: StudyConfig) -> StudyResult:
-    """Load the configured input and run the full study."""
-    if config.input_path is None:
-        raise ConfigError("config has no input path")
-    panel = load_returns(config.input_path, delimiter=config.delimiter)
-    log.info(
-        "loaded %d days x %d firms from %s",
-        panel.n_days,
-        panel.n_firms,
-        config.input_path,
-    )
+def run_study(path: str | Path, config: StudyConfig) -> StudyResult:
+    """Load the panel at ``path`` and run the full study."""
+    panel = load_returns(path, delimiter=config.delimiter)
+    log.info("loaded %d days x %d firms from %s", panel.n_days, panel.n_firms, path)
     return analyze_panel(panel, config)
 
 

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -113,15 +113,12 @@ def period_slug(label: str) -> str:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study run needs besides the panel itself."""
+    """The study's parameters: all a run needs besides the panel and where to write."""
 
-    input_path: Path | None = None
-    out_dir: Path | None = None
     alpha: float = 0.05
     min_obs: int = 15
     delimiter: str = ","
     sub_periods: tuple[SubPeriod, ...] = DEFAULT_SUB_PERIODS
-    charts: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
@@ -149,11 +146,11 @@ _CONFIG_KEYS = ("min_obs", "confidence", "delimiter", "periods")
 
 @contextmanager
 def _opened(path: str | Path, error: type[RiskNetError]) -> Iterator[TextIO]:
-    """The UTF-8 file at ``path``, open for reading with line ends kept; a
-    byte that is not UTF-8, met anywhere in the ``with`` body, raises
-    ``error`` naming the file. The one reader of every input file."""
+    """The UTF-8 file at ``path``, open with line ends kept and a leading
+    byte-order mark dropped; a byte that is not UTF-8, met anywhere in the
+    ``with`` body, raises ``error`` naming the file. Every input file's reader."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -186,39 +183,41 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+def _number(key: str, text: str, kind: type[_T]) -> _T:
+    """``kind(text)`` for ASCII text with no ``_``: ``int`` and ``float``
+    also read other scripts' digits, and ``_`` as a separator."""
+    if text.isascii() and "_" not in text:
+        with suppress(ValueError):
+            return kind(text)
+    raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}")
+
+
 def config_from_sources(
-    file_values: dict[str, str] | None = None, **overrides
+    file_values: dict[str, str] | None = None, *,
+    alpha: str | None = None, min_obs: str | None = None, periods: str | None = None,
 ) -> StudyConfig:
-    """Defaults, overridden by config-file values, overridden by keyword
-    arguments (the CLI's flags)."""
+    """Defaults, overridden by config-file values, overridden by the CLI's
+    flags (None where not given): the text of both is read by the same code."""
+    flags = {"alpha": alpha, "min_obs": min_obs, "periods": periods}
     kwargs: dict = {}
-    file_values = file_values or {}
-    if "confidence" in file_values:
-        try:
-            confidence = float(file_values["confidence"])
-        except ValueError:
-            raise ConfigError(
-                f"confidence must be a number, got {file_values['confidence']!r}"
-            ) from None
-        if not 0.5 < confidence < 1.0:
-            raise ConfigError(f"confidence must lie in (0.5, 1), got {confidence}")
-        from fractions import Fraction  # loads decimal, so not at start-up
-        # the float nearest the exact complement: 1.0 - 0.90 is 0.09999999999999998
-        kwargs["alpha"] = float(1 - Fraction(file_values["confidence"]))
-    if "min_obs" in file_values:
-        try:
-            kwargs["min_obs"] = int(file_values["min_obs"])
-        except ValueError:
-            raise ConfigError(
-                f"min_obs must be an integer, got {file_values['min_obs']!r}"
-            ) from None
-    if "delimiter" in file_values:
-        # a stripped value cannot hold a tab, so the two characters \t stand for one
-        delimiter = file_values["delimiter"]
-        kwargs["delimiter"] = "\t" if delimiter == "\\t" else delimiter
-    if "periods" in file_values:
-        kwargs["sub_periods"] = parse_periods(file_values["periods"])
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    for values in (file_values or {}, {k: v for k, v in flags.items() if v is not None}):
+        if "confidence" in values:
+            confidence = _number("confidence", values["confidence"], float)
+            if not 0.5 < confidence < 1.0:
+                raise ConfigError(f"confidence must lie in (0.5, 1), got {confidence}")
+            from fractions import Fraction  # loads decimal, so not at start-up
+            # the float nearest the exact complement: 1.0 - 0.90 is 0.09999999999999998
+            kwargs["alpha"] = float(1 - Fraction(values["confidence"]))
+        if "alpha" in values:
+            kwargs["alpha"] = _number("alpha", values["alpha"], float)
+        if "min_obs" in values:
+            kwargs["min_obs"] = _number("min_obs", values["min_obs"], int)
+        if "delimiter" in values:
+            # a stripped value cannot hold a tab, so the two characters \t stand for one
+            delimiter = values["delimiter"]
+            kwargs["delimiter"] = "\t" if delimiter == "\\t" else delimiter
+        if "periods" in values:
+            kwargs["sub_periods"] = parse_periods(values["periods"])
     return StudyConfig(**kwargs)
 
 

@@ -247,16 +247,15 @@ def full_study(tmp_path_factory):
     source = base / "returns.csv"
     save_returns(generate_panel(), source)
 
-    first = StudyConfig(input_path=source, out_dir=base / "run1")
+    config = StudyConfig()
     started = time.perf_counter()
-    result = run_study(first)
+    result = run_study(source, config)
     elapsed = time.perf_counter() - started
-    write_study(result, first, first.out_dir)
+    write_study(result, config, base / "run1")
 
-    second = StudyConfig(input_path=source, out_dir=base / "run2")
-    write_study(run_study(second), second, second.out_dir)
+    write_study(run_study(source, config), config, base / "run2")
     return SimpleNamespace(
-        result=result, elapsed=elapsed, run1=first.out_dir, run2=second.out_dir
+        result=result, elapsed=elapsed, run1=base / "run1", run2=base / "run2"
     )
 
 

@@ -581,6 +581,28 @@ def test_config_delimiter_can_be_a_tab(panel_csv, tmp_path):
     assert tree_bytes(tmp_path / "tab") == tree_bytes(tmp_path / "comma")
 
 
+@pytest.mark.parametrize(
+    "flags, line, shown",
+    [
+        (["--min-obs", "1_5"], "", "min_obs must be an integer, got '1_5'"),
+        (["--min-obs", "x"], "", "min_obs must be an integer, got 'x'"),
+        (["--alpha", "0.0_5"], "", "alpha must be a number, got '0.0_5'"),
+        ([], "min_obs = \u0661\u0665", "min_obs must be an integer, got '\u0661\u0665'"),
+        ([], "confidence = 0.9_5", "confidence must be a number, got '0.9_5'"),
+    ],
+)
+def test_flags_and_config_file_read_numbers_alike(panel_csv, tmp_path, capsys, flags, line, shown):
+    # int() and float() read 1_5 as 15 and Arabic-Indic digits as ASCII ones
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    error = single_error(
+        capsys,
+        ["analyze", "--input", str(panel_csv), "--out", str(tmp_path / "o"),
+         "--config", str(cfg), *flags],
+    )
+    assert error == {"error": "ConfigError", "message": shown}
+
+
 def study_panels(tmp_path) -> tuple[Path, Path]:
     """Panels of two studies, 2005-01..03 and 2009-06..08."""
     paths = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -84,6 +85,36 @@ def test_non_finite_cell_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "cell, shown",
+    [
+        ("1_0", "not a number: '1_0'"),
+        ("\uff10.\uff10\uff11", "not a number: '\uff10.\uff10\uff11'"),  # full-width 0.01
+        ("\u0661", "not a number: '\u0661'"),  # Arabic-Indic 1
+        ("1e-400", "nonzero '1e-400' underflows to 0.0"),
+        (" -0.25E-330", "nonzero ' -0.25E-330' underflows to 0.0"),
+    ],
+)
+def test_cell_outside_the_ascii_decimal_grammar_is_refused(cell, shown):
+    # float() reads each of these: as 10.0, 0.01, 1.0, 0.0 and -0.0
+    with pytest.raises(PanelFormatError) as refused:
+        _load(f"date,A,B\n2001-01-02,0.5,0.25\n2001-01-03,0.0,{cell}\n")
+    assert str(refused.value) == f"row 3, column 'B': {shown}"
+
+
+def test_zero_and_iso_dates_still_load():
+    panel = _load("date,A,B\n20010102,0,-0.0\n2001-W01-3,0e-400,0.000\n")
+    assert panel.dates == (dt.date(2001, 1, 2), dt.date(2001, 1, 3))
+    assert (panel.returns == 0.0).all()
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("date,A\n2001-01-02,0.25\n", encoding="utf-8-sig")
+    panel = load_returns(path)
+    assert panel.firms == ("A",) and panel.returns[0, 0] == 0.25
+
+
 def test_duplicate_firm_column_rejected():
     with pytest.raises(PanelFormatError, match="duplicate firm columns: A"):
         _load("date,A,A\n2001-01-02,0.01,0.02\n")
@@ -149,22 +180,27 @@ def test_panel_is_read_only():
 
 
 def per_cell_oracle(text: str) -> ReturnPanel:
-    """The loader one cell at a time: every cell stripped, parsed and
-    checked on its own, so each error names its row, column and text."""
+    """The loader one cell at a time: every cell stripped, matched against
+    the ASCII decimal grammar, parsed and checked on its own, so each error
+    names its row, column and text."""
 
     def parse_cell(text: str, row: int, firm: str) -> float:
         value_text = text.strip()
         if not value_text:
             return float("nan")
-        try:
-            value = float(value_text)
-        except ValueError:
+        if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                            r"|[+-]?(nan|inf|infinity)", value_text, re.IGNORECASE):
             raise PanelFormatError(
                 f"row {row}, column {firm!r}: not a number: {text!r}"
-            ) from None
+            )
+        value = float(value_text)
         if not np.isfinite(value):
             raise PanelFormatError(
                 f"row {row}, column {firm!r}: non-finite value {text!r}"
+            )
+        if value == 0.0 and re.search(r"[1-9]", re.split("[eE]", value_text)[0]):
+            raise PanelFormatError(
+                f"row {row}, column {firm!r}: nonzero {text!r} underflows to 0.0"
             )
         return value
 
@@ -232,6 +268,7 @@ CELLS = mostly(
                          "\u20280.1", "1\u2029", "\x85"]),
         st.sampled_from(["1_000", "0.0_1"]),
         st.sampled_from(["\u0661\u0662", "\uff10.\uff15", "\u0967e-2"]),  # non-ASCII digits
+        st.sampled_from(["1e-400", "-0.5e-330", "0e5", "-0.0", "0.000e-400"]),  # zero or underflow
     ),
     st.one_of(
         st.sampled_from(["nan", "NaN", "-nan", " inf", "-Infinity", "1e999", "-1e999"]),

@@ -130,9 +130,15 @@ def test_config_file_parsing_and_precedence(tmp_path):
     assert config.min_obs == 12
     assert config.alpha == 0.1
     # CLI-style overrides beat the file
-    config = config_from_sources(values, alpha=0.05, min_obs=None)
+    config = config_from_sources(values, alpha="0.05", min_obs=None)
     assert config.alpha == 0.05
     assert config.min_obs == 12
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("min_obs = 12\n", encoding="utf-8-sig")
+    assert load_config_file(cfg) == {"min_obs": "12"}
 
 
 def test_config_file_rejects_unknown_or_duplicate_keys(tmp_path):

@@ -5,6 +5,7 @@ review."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -13,6 +14,9 @@ import pytest
 
 import risknet
 from risknet import errors
+from risknet.panel import save_returns
+from risknet.reports import StudyConfig
+from risknet.synthetic import generate_panel
 
 TOP_LEVEL = {
     "RiskNetError",
@@ -97,6 +101,24 @@ def test_error_classes_are_pinned():
         if isinstance(value, type) and issubclass(value, errors.RiskNetError)
     }
     assert defined == ERRORS
+
+
+def test_study_config_fields_are_pinned():
+    # the study's parameters; paths and command switches stay with the command
+    fields = [f.name for f in dataclasses.fields(StudyConfig)]
+    assert fields == ["alpha", "min_obs", "delimiter", "sub_periods"]
+
+
+def test_readme_library_use_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    save_returns(generate_panel(10, (2007, 1), (2007, 3), seed=13, stress=None),
+                 tmp_path / "returns.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "study" / "timeseries.csv").is_file()
+    assert (tmp_path / "study" / "rankings" / "all-periods.csv").is_file()
 
 
 def _open_modes(node: ast.AST, owner: str = ""):
