@@ -17,9 +17,11 @@ import csv
 import json
 import logging
 import math
+import operator
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -197,10 +199,14 @@ def config_from_sources(
     alpha: str | None = None, min_obs: str | None = None, periods: str | None = None,
 ) -> StudyConfig:
     """Defaults, overridden by config-file values, overridden by the CLI's
-    flags (None where not given): the text of both is read by the same code."""
+    flags (None where not given): the text of both is read by the same code,
+    and a value that is not text is refused."""
     flags = {"alpha": alpha, "min_obs": min_obs, "periods": periods}
     kwargs: dict = {}
     for values in (file_values or {}, {k: v for k, v in flags.items() if v is not None}):
+        for key, value in values.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} must be given as text, got {value!r}")
         if "confidence" in values:
             confidence = _number("confidence", values["confidence"], float)
             if not 0.5 < confidence < 1.0:
@@ -357,19 +363,11 @@ def rank_firms(
     return tuple(tables)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(header: Sequence[str], rows: Iterable[tuple], path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
+        writer.writerows(rows)  # a float as its repr, inf as inf
 
 
 def _write_records(
@@ -380,19 +378,13 @@ def _write_records(
     the header meets the json module's pure-Python encoder (a NaN or an
     infinite float in it raises ``ValueError``, and nothing is written):
     record k is ``template`` with its ``{}`` slots filled by the k-th JSON
-    text of each column, and one join makes them all."""
+    text of each column."""
     head = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
-    columns = [list(column) for column in columns]
     fixed = template.split("{}")  # the text before, between and after the slots
-    slots, count = len(columns), len(columns[0])
-    # value j of record k at 2 * (k * slots + j) + 1, the text before it just
-    # ahead; between two records that text joins the end of one to the next
-    parts = [f"{fixed[-1]},\n{fixed[0]}"] * (2 * slots * count)
-    for j, column in enumerate(columns):
-        parts[2 * j + 1 :: 2 * slots] = column
-        if j:
-            parts[2 * j :: 2 * slots] = [fixed[j]] * count
-    body = f"[\n{fixed[0]}{''.join(parts[1:])}{fixed[-1]}\n  ]" if count else "[]"
+    # record k joins the k-th of each: a fixed text, a value, ..., the last text
+    texts = [*chain.from_iterable(zip(map(repeat, fixed), columns)), repeat(fixed[-1])]
+    records = ",\n".join(map("".join, zip(*texts)))
+    body = f"[\n{records}\n  ]" if records else "[]"
     text = f'{head},\n  "{key}": {body}\n}}\n'
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
@@ -517,17 +509,19 @@ def network_from_dict(payload: dict) -> SavedNetwork:
         if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
             entry = first(lambda e: type(e) is not list or len(e) != 3)
             raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
-        rows, cols, weights = zip(*edges)
+        flat = tuple(chain.from_iterable(edges))
+        rows, cols, weights = flat[0::3], flat[1::3], flat[2::3]
         _check_types(edges, (rows, cols), {int}, "edge indices must be integers: {!r}")
-        if not (min(rows) >= 0 and max(cols) < n and all(map(int.__lt__, rows, cols))):
+        if not (min(rows) >= 0 and max(cols) < n and all(map(operator.lt, rows, cols))):
             entry = first(lambda e: not 0 <= e[0] < e[1] < n)
             raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
         _check_types(edges, (weights,), {int, float}, "bad edge entry {!r}: weight is not a number")
-        # no min or max here: a NaN would slip past them
-        if not (all(map((0.0).__lt__, weights)) and all(map((1.0).__ge__, weights))):
+        # min and max step over a NaN, which the sum keeps; max refuses an int the sum overflows on
+        if not (0.0 < min(weights) and max(weights) <= 1.0 and not math.isnan(sum(weights))):
             entry = first(lambda e: not 0.0 < e[2] <= 1.0)
             raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
-        if len(set(zip(rows, cols))) < len(edges):
+        # 0 <= i < j < n, so i * n + j names the pair
+        if len(set(map(operator.add, map(n.__mul__, rows), cols))) < len(edges):
             seen: set = set()
             i, j = next(pair for pair in zip(rows, cols) if pair in seen or seen.add(pair))
             raise NetworkFormatError(f"duplicate edge ({i}, {j})")
@@ -564,11 +558,9 @@ def report_from_dict(payload: dict) -> RobustnessReport:
             firms=tuple(firms),
             analyzed_firms=tuple(analyzed),
             component_note=_field(payload, "component_note", "a string or null"),
-            density=_numbers("density", [payload["density"]])[0],
-            kirchhoff=_numbers("kirchhoff", [payload["kirchhoff"]])[0],
-            normalized_kirchhoff=_numbers(
-                "normalized_kirchhoff", [payload["normalized_kirchhoff"]]
-            )[0],
+            density=float(_field(payload, "density", "a number")),
+            kirchhoff=float(_field(payload, "kirchhoff", "a number")),
+            normalized_kirchhoff=float(_field(payload, "normalized_kirchhoff", "a number")),
             werc=_numbers("werc", column["werc"], inf=True),
             clustering=_numbers("clustering", column["clustering"]),
             strength=_numbers("strength", column["strength"]),

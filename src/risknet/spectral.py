@@ -148,7 +148,9 @@ def connected_components(net: RiskNetwork) -> tuple[tuple[int, ...], ...]:
     """Vertex index sets of the components of the positive weights, each
     sorted, ordered by their smallest vertex."""
     (labels,) = _labels(net.adjacency)
-    return tuple(tuple(np.flatnonzero(labels == s).tolist()) for s in np.unique(labels))
+    # the labels are vertices: bincount, unlike np.unique, loads no numpy.ma
+    starts = np.flatnonzero(np.bincount(labels))
+    return tuple(tuple(np.flatnonzero(labels == s).tolist()) for s in starts)
 
 
 def _labels(adjacency: np.ndarray, removals: bool = False) -> np.ndarray:

@@ -816,3 +816,16 @@ def test_export_charts_runs_neither_pipeline_nor_spectral(panel_csv, tmp_path):
     expected = {p.name: p.read_bytes() for p in (out / "charts").iterdir()}
     assert run_fresh(_CHARTS_PROBE, str(out))[-2:] == ["0", "False"]
     assert {p.name: p.read_bytes() for p in (out / "charts").iterdir()} == expected
+
+
+_ANALYZE_PROBE = """
+import sys
+from risknet.cli import main
+print(main(["analyze", "--input", sys.argv[1], "--out", sys.argv[2]]), "numpy.ma" in sys.modules)
+"""
+
+
+def test_analyze_does_not_import_numpy_ma(panel_csv, tmp_path):
+    """No step of a study needs masked arrays, whose import costs every
+    ``analyze`` process tens of milliseconds."""
+    assert run_fresh(_ANALYZE_PROBE, str(panel_csv), str(tmp_path / "out"))[-2:] == ["0", "False"]

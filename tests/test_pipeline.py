@@ -135,6 +135,21 @@ def test_config_file_parsing_and_precedence(tmp_path):
     assert config.min_obs == 12
 
 
+@pytest.mark.parametrize(
+    "values, flags, message",
+    [
+        ({}, {"alpha": 0.05}, "alpha must be given as text, got 0.05"),
+        ({}, {"min_obs": 15}, "min_obs must be given as text, got 15"),
+        ({"confidence": 0.9}, {}, "confidence must be given as text, got 0.9"),
+        ({"min_obs": "12"}, {"periods": ()}, "periods must be given as text, got ()"),
+    ],
+)
+def test_config_values_must_be_text(values, flags, message):
+    # a number that is not text would reach str methods as a stray AttributeError
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_sources(values, **flags)
+
+
 def test_config_file_with_byte_order_mark(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("min_obs = 12\n", encoding="utf-8-sig")
