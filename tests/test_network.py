@@ -416,14 +416,14 @@ def test_edge_indices_must_be_integers_not_truncated():
         ([[0, 10**30, 0.5]], "indices out of order or range"),
         ([[0, 1, 0.5], [1, 2, 0.0]], r"weight outside \(0, 1\]: \[1, 2, 0.0\]"),
         ([[0, 1, float("nan")]], r"weight outside \(0, 1\]"),
-        # min and max step over a NaN after a valid weight: only the sum keeps it
-        ([[0, 1, 0.5], [1, 2, float("nan")]], r"weight outside \(0, 1\]: \[1, 2, nan\]"),
         ([[0, 1, 10**400]], r"weight outside \(0, 1\]"),
-        # refused by max before the sum turns it into a float, which overflows
-        ([[0, 1, 0.5], [1, 2, 10**400]], r"weight outside \(0, 1\]"),
         ([[0, 1, 0.5], [1, 2, 0.5], [1, 2, 0.25], [0, 1, 0.5]], r"duplicate edge \(1, 2\)"),
         (5, "bad network payload"),
         ({"0": [0, 1, 0.5]}, "bad network payload"),
+        # min and max step over a NaN after a valid weight: only the sum keeps it
+        ([[0, 1, 0.5], [1, 2, float("nan")]], r"weight outside \(0, 1\]: \[1, 2, nan\]"),
+        # refused by max before the sum turns it into a float, which overflows
+        ([[0, 1, 0.5], [1, 2, 10**400]], r"weight outside \(0, 1\]"),
     ],
 )
 def test_edge_validation_names_the_first_bad_entry(edges, message):
