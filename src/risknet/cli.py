@@ -7,7 +7,7 @@ Subcommands, and the flags each takes besides ``--out``, ``--config`` and
                      write per-window networks only, deleting other results
 * ``analyze``        ``--input --alpha --min-obs --periods --charts``: full
                      study (networks, reports, rankings, timeseries, charts)
-* ``rank``           ``--periods``: recompute ranking tables from saved reports
+* ``rank``           ``--periods``: recompute rankings and timeseries from saved reports
 * ``export-charts``  ``--periods``: render charts from saved reports and the
                      saved networks' edge lists, refusing those of two studies
 
@@ -143,6 +143,7 @@ def _cmd_rank(args: argparse.Namespace, config: reports.StudyConfig) -> int:
     saved = reports.read_reports(args.out)
     tables = reports.rank_firms(saved, config.sub_periods)
     paths = reports.write_rankings(tables, args.out)
+    reports.write_timeseries(saved, config.sub_periods, args.out)
     print(f"wrote {len(paths)} ranking tables under {args.out / 'rankings'}")
     return 0
 

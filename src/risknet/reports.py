@@ -298,7 +298,8 @@ class RobustnessReport:
 def rank_firms(
     reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod]
 ) -> tuple[RankingTable, ...]:
-    """Period tables of firms ranked by mean removal impact.
+    """Period tables of firms ranked by mean removal impact: one per
+    sub-period, in their order, then the table of all periods.
 
     A firm enters a period's table when it was present in at least a
     quarter of the period's analyzed windows. Firms whose removal ever
@@ -307,40 +308,35 @@ def rank_firms(
     then by identifier; finite means sort descending with identifier
     tie-breaks. The first quartile is the top ceil(#firms / 4).
     """
+    spans = [(p.label, [r for r in reports if p.contains(r.label)]) for p in sub_periods]
     tables = []
-    for period in list(sub_periods) + [None]:
-        if period is None:
-            label = ALL_PERIODS
-            members = list(reports)
-        else:
-            label = period.label
-            members = [r for r in reports if period.contains(r.label)]
+    for label, members in [*spans, (ALL_PERIODS, reports)]:
         total = len(members)
-        stats: dict[str, dict] = {}
+        impacts: dict[str, list[float]] = {}
+        orders: dict[str, list[int]] = {}  # one per removal that disconnects: +inf impact
         for report in members:
-            for firm, value, survivor in zip(
+            for firm, impact, order in zip(
                 report.analyzed_firms, report.werc, report.surviving_order
             ):
-                entry = stats.setdefault(firm, {"values": [], "infs": 0, "survivors": []})
-                entry["values"].append(value)
-                if math.isinf(value):
-                    entry["infs"] += 1
-                    entry["survivors"].append(int(survivor))
+                impacts.setdefault(firm, []).append(impact)
+                if order is not None:
+                    orders.setdefault(firm, []).append(order)
         included = []
         excluded = []
-        for firm in sorted(stats):
-            entry = stats[firm]
-            coverage = len(entry["values"])
+        for firm in sorted(impacts):
+            coverage = len(impacts[firm])
             if coverage < COVERAGE_FLOOR * total:
+                log.info(
+                    "%s: %s excluded (present in %d of %d windows)", label, firm, coverage, total
+                )
                 excluded.append((firm, coverage))
-                continue
-            if entry["infs"]:
-                mean = math.inf
-                key = (0, -entry["infs"], sum(entry["survivors"]) / entry["infs"], firm)
+            elif firm in orders:
+                cuts = orders[firm]
+                key = (0, -len(cuts), sum(cuts) / len(cuts), firm)
+                included.append((key, firm, math.inf, coverage))
             else:
-                mean = sum(entry["values"]) / coverage
-                key = (1, -mean, 0.0, firm)
-            included.append((key, firm, mean, coverage))
+                mean = sum(impacts[firm]) / coverage
+                included.append(((1, -mean, 0.0, firm), firm, mean, coverage))
         included.sort(key=lambda item: item[0])
         chunk = math.ceil(len(included) / 4) if included else 1
         rows = tuple(
@@ -353,10 +349,6 @@ def rank_firms(
             )
             for position, (_, firm, mean, coverage) in enumerate(included, start=1)
         )
-        for firm, coverage in excluded:
-            log.info(
-                "%s: %s excluded (present in %d of %d windows)", label, firm, coverage, total
-            )
         tables.append(
             RankingTable(period=label, window_count=total, rows=rows, excluded=tuple(excluded))
         )
@@ -423,12 +415,13 @@ def _checked(key: str, values: list, kind: str) -> list:
 
 
 def _field(payload: dict, key: str, kind: str):
-    """``payload[key]``, once it is of ``kind``; a list, then each of its
-    entries, for a "list of" kind."""
+    """``payload[key]``, once it is of ``kind``: a list, then each of its
+    entries, for a "list of" kind; read as a float for "a number"."""
     value = payload[key]
     if kind.startswith("a list of "):
         return _checked(key, _checked(key, [value], "a list")[0], kind)
-    return _checked(key, [value], kind)[0]
+    value = _checked(key, [value], kind)[0]
+    return float(value) if kind == "a number" else value
 
 
 def _distinct(key: str, names: list) -> list:
@@ -529,11 +522,11 @@ def network_from_dict(payload: dict) -> SavedNetwork:
 
 
 def report_from_dict(payload: dict) -> RobustnessReport:
-    """The report a saved payload holds, with schema validation by the
-    saved-file checker, column by column: nothing is coerced. Numbers
-    must be JSON numbers, and only ``werc`` may be "inf"; ``window_id``
-    and each surviving order must be integers (2.7 is refused, not
-    truncated), and a surviving order may be null; ``label`` and each
+    """The report a saved payload holds, checked by the saved-file checker,
+    the header in file order, then the vertices column by column: nothing is
+    coerced. Numbers must be JSON numbers, and only ``werc`` may be "inf";
+    ``window_id`` and each surviving order must be integers (2.7 is refused,
+    not truncated), and a surviving order may be null; ``label`` and each
     ``firm`` must be strings, ``component_note`` a string or null and
     ``firms`` a list of strings. No name repeats in ``firms``, and the
     vertices' firms are some of ``firms``, in their order, each once. There
@@ -542,25 +535,21 @@ def report_from_dict(payload: dict) -> RobustnessReport:
         version = _field(payload, "schema_version", "an integer")
         if version != REPORT_SCHEMA_VERSION:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
+        header = {key: _field(payload, key, kind) for key, kind in _REPORT_HEADER}
+        firms = _distinct("firms", header.pop("firms"))
         vertices = _field(payload, "vertices", "a list")
         if len(vertices) < 3:
             raise NetworkFormatError(f"need at least three vertices, got {len(vertices)}")
         column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
-        firms = _distinct("firms", _field(payload, "firms", "a list of strings"))
         analyzed = _distinct("firm", _checked("firm", column["firm"], "a string"))
         listed = iter(firms)
         stray = next((firm for firm in analyzed if firm not in listed), None)
         if stray is not None:
             raise NetworkFormatError(f"firm {stray!r} is not in firms, or out of their order")
         return RobustnessReport(
-            window_id=_field(payload, "window_id", "an integer"),
-            label=_field(payload, "label", "a string"),
+            **header,
             firms=tuple(firms),
             analyzed_firms=tuple(analyzed),
-            component_note=_field(payload, "component_note", "a string or null"),
-            density=float(_field(payload, "density", "a number")),
-            kirchhoff=float(_field(payload, "kirchhoff", "a number")),
-            normalized_kirchhoff=float(_field(payload, "normalized_kirchhoff", "a number")),
             werc=_numbers("werc", column["werc"], inf=True),
             clustering=_numbers("clustering", column["clustering"]),
             strength=_numbers("strength", column["strength"]),
@@ -572,6 +561,13 @@ def report_from_dict(payload: dict) -> RobustnessReport:
         raise NetworkFormatError(f"bad report payload: {exc}") from None
 
 
+# A report's header after its schema version, in file order: each key is
+# the report's attribute, and each kind its saved type (see _KINDS).
+_REPORT_HEADER = (
+    ("window_id", "an integer"), ("label", "a string"), ("firms", "a list of strings"),
+    ("component_note", "a string or null"), ("density", "a number"),
+    ("kirchhoff", "a number"), ("normalized_kirchhoff", "a number"),
+)
 _VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
 
 # One vertex and one edge in the layout ``json.dump(..., indent=2)`` gives them.
@@ -604,16 +600,8 @@ def write_report(report: RobustnessReport, path: str | Path) -> None:
     firm under "vertices", with an infinite removal impact as "inf". A
     NaN or infinite float, other than an infinite removal impact, raises
     ``ValueError``."""
-    header = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "window_id": report.window_id,
-        "label": report.label,
-        "firms": list(report.firms),
-        "component_note": report.component_note,
-        "density": report.density,
-        "kirchhoff": report.kirchhoff,
-        "normalized_kirchhoff": report.normalized_kirchhoff,
-    }
+    header = {"schema_version": REPORT_SCHEMA_VERSION}
+    header.update((key, getattr(report, key)) for key, _ in _REPORT_HEADER)
     werc = ["inf" if w == math.inf else w for w in report.werc]
     values = (werc, report.clustering, report.strength, report.surviving_order)
     columns = map(_json_items, (report.analyzed_firms, *values))

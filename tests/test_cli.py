@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import math
@@ -72,6 +73,10 @@ def test_rank_reuses_saved_reports(panel_csv, tmp_path):
     )
     assert (out / "rankings" / "q1.csv").exists()
     assert (out / "rankings" / "all-periods.csv").read_bytes() == before
+    # the timeseries follows the new split, not analyze's default periods
+    with open(out / "timeseries.csv", newline="") as handle:
+        periods = {row["label"]: row["period"] for row in csv.DictReader(handle)}
+    assert periods == {"2007-01": "Q1", "2007-02": "Q1", "2007-03": "Q1", "2007-04": ""}
 
 
 def test_export_charts_from_saved_outputs(panel_csv, tmp_path):
@@ -384,6 +389,12 @@ def repeat_firm(payload):
     payload["firms"][1] = payload["firms"][0]
 
 
+def bad_window_and_unlisted_firm(payload):
+    # two faults: the header is checked in file order before the firms are cross-checked
+    payload["window_id"] = "3"
+    drop_first_firm(payload)
+
+
 def keep_two_vertices(payload):
     # typed right, but no analyzed window has fewer than three firms
     del payload["vertices"][2:]
@@ -424,6 +435,7 @@ def keep_two_vertices(payload):
         # plot the median of no clustering values
         (set_field("vertices", []), "need at least three vertices, got 0"),
         (keep_two_vertices, "need at least three vertices, got 2"),
+        (bad_window_and_unlisted_firm, "window_id must be an integer, got '3'"),
     ],
     ids=[
         "order-float", "order-bool", "density-string", "clustering-string",
@@ -431,7 +443,7 @@ def keep_two_vertices(payload):
         "window-string", "window-float", "density-huge",
         "firm-int", "label-int", "label-not-month", "note-float", "firms-string",
         "firm-repeat", "firm-unlisted", "firm-order", "firms-repeat",
-        "no-vertices", "two-vertices",
+        "no-vertices", "two-vertices", "window-string-firm-unlisted",
     ],
 )
 def test_saved_report_values_are_refused_not_coerced(panel_csv, tmp_path, capsys, edit, shown):

@@ -603,6 +603,26 @@ def test_rank_firms_infinite_means_rank_first_with_tie_rules():
     assert table.rows[2].mean_werc == pytest.approx(4.5)
 
 
+@pytest.mark.parametrize(
+    "firms, windows, expected",
+    [
+        ("BAC", [((0.3, 0.3, 0.1), None)], "ABC"),
+        # A leaves components of 2 then 6 firms, B of 3 and 3: B's average is smaller
+        ("ABC", [((math.inf, math.inf, 0.1), (2, 3, None)),
+                 ((math.inf, math.inf, 0.2), (6, 3, None))], "BAC"),
+        ("BAC", [((math.inf, math.inf, 0.1), (4, 4, None))], "ABC"),
+    ],
+    ids=["equal-means-by-identifier", "equal-counts-by-average-order", "full-tie-by-identifier"],
+)
+def test_rank_firms_tie_breaks(firms, windows, expected):
+    reports = [
+        fake_report(t, f"2001-{t:02d}", tuple(firms), werc, survivors)
+        for t, (werc, survivors) in enumerate(windows, start=1)
+    ]
+    (table,) = rank_firms(reports, ())
+    assert "".join(r.firm for r in table.rows) == expected
+
+
 def test_rank_firms_per_period_membership():
     reports = [
         fake_report(1, "2001-01", ("A", "B", "C"), (0.3, 0.2, 0.1)),
