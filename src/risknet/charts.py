@@ -10,9 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, groupby
-from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,10 +45,10 @@ class WeightBand:
 
 def weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[WeightBand, ...]:
     """Mean and 5%/95% band of positive weights, grouped per year: the
-    floats numpy's ``mean`` and default (``linear``) ``quantile`` give for
-    the year's weights, in network and file order. The networks are read
-    once, in window order; a year after a later one raises ``ValueError``,
-    and a year with no positive weight is omitted (logged).
+    exactly rounded mean of the year's weights (``math.fsum``) and numpy's
+    default (``linear``) quantiles of them, bit for bit. The networks are
+    read once, in window order; a year after a later one raises
+    ``ValueError``, and a year with no positive weight is omitted (logged).
     """
     bands, previous = [], ""
     for year, group in groupby(networks, key=lambda net: net.label.split("-")[0]):
@@ -61,25 +59,10 @@ def weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[WeightB
         if not weights:
             log.warning("weight stats: no positive weights in %s, group omitted", year)
             continue
-        ordered, count = sorted(weights), len(weights)
-        q05, q95 = _quantile(ordered, 0.05), _quantile(ordered, 0.95)
-        bands.append(WeightBand(year, count, _sum(weights) / count, q05, q95))
+        weights.sort()  # fsum's sum does not depend on the order of its input
+        count, q05, q95 = len(weights), _quantile(weights, 0.05), _quantile(weights, 0.95)
+        bands.append(WeightBand(year, count, math.fsum(weights) / count, q05, q95))
     return tuple(bands)
-
-
-def _sum(values: Sequence[float]) -> float:
-    """numpy's float64 sum of ``values``, to the last bit: pairwise, as
-    numpy adds (the builtin ``sum`` compensates from Python 3.12)."""
-    n = len(values)
-    if n < 8:  # in order
-        return reduce(add, values, 0.0)
-    if n <= 128:  # 8 strided running sums joined pairwise, then the rest in order
-        end = n - n % 8
-        r = [reduce(add, values[j:end:8]) for j in range(8)]
-        joined = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[end:], joined)
-    half = n // 2 - n // 2 % 8  # half, rounded down to a multiple of 8
-    return _sum(values[:half]) + _sum(values[half:])
 
 
 def _quantile(ordered: Sequence[float], q: float) -> float:

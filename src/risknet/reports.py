@@ -213,7 +213,10 @@ def config_from_sources(
                 raise ConfigError(f"confidence must lie in (0.5, 1), got {confidence}")
             from fractions import Fraction  # loads decimal, so not at start-up
             # the float nearest the exact complement: 1.0 - 0.90 is 0.09999999999999998
-            kwargs["alpha"] = float(1 - Fraction(values["confidence"]))
+            try:
+                kwargs["alpha"] = float(1 - Fraction(values["confidence"]))
+            except ValueError:  # Fraction reads the digits by int(), which takes at most 4,300
+                raise ConfigError("confidence has too many digits to read exactly") from None
         if "alpha" in values:
             kwargs["alpha"] = _number("alpha", values["alpha"], float)
         if "min_obs" in values:
@@ -438,7 +441,7 @@ def read_json(path: str | Path, parse: Callable[[dict], _T]) -> _T:
     try:
         with _opened(path, NetworkFormatError) as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an integer too long to read
         raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from None
     try:
         return parse(payload)
@@ -526,7 +529,8 @@ def report_from_dict(payload: dict) -> RobustnessReport:
     the header in file order, then the vertices column by column: nothing is
     coerced. Numbers must be JSON numbers, and only ``werc`` may be "inf";
     ``window_id`` and each surviving order must be integers (2.7 is refused,
-    not truncated), and a surviving order may be null; ``label`` and each
+    not truncated), a surviving order may be null, and one of m vertices
+    lies in [1, m - 2], as a cut's largest survivor does; ``label`` and each
     ``firm`` must be strings, ``component_note`` a string or null and
     ``firms`` a list of strings. No name repeats in ``firms``, and the
     vertices' firms are some of ``firms``, in their order, each once. There
@@ -546,16 +550,18 @@ def report_from_dict(payload: dict) -> RobustnessReport:
         stray = next((firm for firm in analyzed if firm not in listed), None)
         if stray is not None:
             raise NetworkFormatError(f"firm {stray!r} is not in firms, or out of their order")
+        numbers = {
+            key: _numbers(key, column[key], inf=key == "werc")
+            for key in ("werc", "clustering", "strength")
+        }
+        orders = _checked("surviving_order", column["surviving_order"], "an integer or null")
+        top = len(vertices) - 2  # a cut leaves the other m - 1 firms in two parts or more
+        wrong = next((k for k in orders if k is not None and not 1 <= k <= top), None)
+        if wrong is not None:
+            raise NetworkFormatError(f"surviving_order must lie in [1, {top}], got {wrong}")
         return RobustnessReport(
-            **header,
-            firms=tuple(firms),
-            analyzed_firms=tuple(analyzed),
-            werc=_numbers("werc", column["werc"], inf=True),
-            clustering=_numbers("clustering", column["clustering"]),
-            strength=_numbers("strength", column["strength"]),
-            surviving_order=tuple(
-                _checked("surviving_order", column["surviving_order"], "an integer or null")
-            ),
+            **header, **numbers, firms=tuple(firms), analyzed_firms=tuple(analyzed),
+            surviving_order=tuple(orders),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise NetworkFormatError(f"bad report payload: {exc}") from None

@@ -95,14 +95,22 @@ def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
 def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
     """Eigenvalues of a symmetric weighted Laplacian, sorted descending.
 
-    The component sizes come from the off-diagonal nonzero pattern, which
-    for L = S - W is exactly the positive weights, so no eigenvalue cutoff
-    decides connectivity. Eigenvalues below
-    ``-NEGATIVE_TOL * max(1, largest eigenvalue)`` mean the input was not a
-    Laplacian (or the solver failed) and raise.
+    The input must be square, symmetric and have zero row sums within a
+    tolerance relative to its largest entry, or ``ValueError`` is raised.
+    Components come from the off-diagonal nonzero pattern, for L = S - W
+    exactly the positive weights, so no eigenvalue cutoff decides
+    connectivity. Eigenvalues below ``-NEGATIVE_TOL * max(1, largest
+    eigenvalue)`` mean the input was not a Laplacian (or the solver
+    failed) and raise.
     """
     laplacian = np.asarray(laplacian, dtype=float)
-    scale = _check_laplacian(laplacian)
+    if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {laplacian.shape}")
+    scale = max(1.0, float(np.abs(laplacian).max())) if laplacian.size else 1.0
+    if not np.allclose(laplacian, laplacian.T, rtol=0.0, atol=1e-12 * scale):
+        raise ValueError("Laplacian must be symmetric")
+    if laplacian.size and float(np.abs(laplacian.sum(axis=1)).max()) > 1e-8 * scale:
+        raise ValueError("Laplacian rows must sum to zero")
     # self-loops change no component; both triangles keep components disjoint
     labels = _labels((laplacian != 0) | (laplacian.T != 0))
     sizes = tuple(np.unique(labels, return_counts=True)[1].tolist())
@@ -120,21 +128,6 @@ def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
             f"negative eigenvalue {values[-1]} beyond tolerance {threshold:g}"
         )
     return LaplacianSpectrum(eigenvalues=values, component_sizes=sizes)
-
-
-def _check_laplacian(laplacian: np.ndarray) -> float:
-    """Raise unless the matrix is square, symmetric and has zero row sums,
-    each within a tolerance relative to its largest entry; return that
-    scale (at least 1)."""
-    if laplacian.ndim != 2 or laplacian.shape[0] != laplacian.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {laplacian.shape}")
-    scale = max(1.0, float(np.abs(laplacian).max())) if laplacian.size else 1.0
-    if not np.allclose(laplacian, laplacian.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("Laplacian must be symmetric")
-    row_sums = laplacian.sum(axis=1)
-    if laplacian.size and float(np.abs(row_sums).max()) > 1e-8 * scale:
-        raise ValueError("Laplacian rows must sum to zero")
-    return scale
 
 
 def normalized_kirchhoff(kirchhoff: float, n: int) -> float:
@@ -244,7 +237,6 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
             f"window {net.label}: removal impact needs a connected network"
         )
     laplacian = weighted_laplacian(net)
-    _check_laplacian(laplacian)
     ground, second = np.argsort(-np.diagonal(laplacian), kind="stable")[:2]
     kirchhoff = float(_grounded_kirchhoff(_without(laplacian, ground)[None], n)[0])
     if math.isnan(kirchhoff):

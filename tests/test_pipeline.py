@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import re
+import statistics
 import tempfile
 
 import numpy as np
@@ -393,7 +394,7 @@ def test_report_json_roundtrip_with_infinities():
         "2008-03",
         ("A", "B", "C"),
         (math.inf, 0.25, -0.1),
-        survivors=(2, None, None),
+        survivors=(1, None, None),  # A's removal leaves B and C apart
     )
     payload = report_to_dict(report)
     assert payload["vertices"][0]["werc"] == "inf"
@@ -441,14 +442,17 @@ FLOATS = st.one_of(
 def reports(draw) -> RobustnessReport:
     """Reports of 0-10 analyzed firms among 0-10, each with a finite
     removal impact or an infinite one and its surviving order. Most are as
-    an analyzed window's, with three or more analyzed firms and a month
-    label, so they reach the reader; about one in four may have fewer
-    firms, and one in four any label."""
+    an analyzed window's, with three or more analyzed firms, surviving
+    orders in [1, m - 2] for m of them and a month label, so they reach the
+    reader; about one in four may have fewer firms, one in four any order
+    from 0 to 200, and one in four any label."""
     least = 3 * (draw(st.integers(0, 3)) > 0)
     firms = draw(st.lists(NAMES, min_size=least, max_size=10, unique=True))
     picked = draw(st.sets(st.integers(0, max(len(firms) - 1, 0)), min_size=least))
     analyzed = [f for k, f in enumerate(firms) if k in picked]
     cut = [draw(st.booleans()) for _ in analyzed]
+    valid = len(analyzed) > 2 and draw(st.integers(0, 3)) > 0
+    orders = st.integers(1, len(analyzed) - 2) if valid else st.integers(0, 200)
     return RobustnessReport(
         window_id=draw(st.integers(0, 10**6)),
         label=draw(MONTHS if draw(st.integers(0, 3)) else LABELS),
@@ -461,7 +465,7 @@ def reports(draw) -> RobustnessReport:
         werc=tuple(math.inf if c else draw(FLOATS) for c in cut),
         clustering=tuple(draw(FLOATS) for _ in analyzed),
         strength=tuple(draw(FLOATS) for _ in analyzed),
-        surviving_order=tuple(draw(st.integers(0, 200)) if c else None for c in cut),
+        surviving_order=tuple(draw(orders) if c else None for c in cut),
     )
 
 
@@ -472,8 +476,12 @@ def test_report_writer_bytes_match_json_dump(report):
         (path,) = write_reports([report], out)
         text = path.read_bytes().decode("utf-8")
         assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-        if len(report.analyzed_firms) < 3:
+        top = len(report.analyzed_firms) - 2
+        if top < 1:
             with pytest.raises(NetworkFormatError, match="at least three vertices"):
+                read_reports(out)
+        elif any(k is not None and not 1 <= k <= top for k in report.surviving_order):
+            with pytest.raises(NetworkFormatError, match=r"surviving_order must lie in \[1, "):
                 read_reports(out)
         elif not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", report.label):
             with pytest.raises(NetworkFormatError, match="is not a month YYYY-MM"):
@@ -492,7 +500,7 @@ def test_timeseries_median_is_numpys(report):
         assert row[4] == float(np.median(report.clustering))
 
 
-# crossing numpy's sum cases: fewer than 8, up to 128, and halvings above
+# years of one weight to a couple of thousand; the sampled sizes sit at and around powers of 2
 BAND_SIZES = st.one_of(
     st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 136, 137, 256, 264, 271, 1024, 2047]),
     st.integers(1, 2100),
@@ -522,14 +530,14 @@ def yearly_networks(draw) -> list[SavedNetwork]:
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(yearly_networks())
 def test_weight_band_floats_are_numpys(networks):
-    # the charts module takes the mean and quantiles without numpy, to the same floats
+    # the charts module takes numpy's quantiles without numpy, and the exactly rounded mean
     bands = weight_distribution_stats(networks)
     assert [b.group for b in bands] == sorted({net.label[:4] for net in networks})
     for band in bands:
         year = [net.weights for net in networks if net.label.startswith(band.group)]
         weights = np.concatenate([np.array(w, dtype=float) for w in year])
         assert band.count == weights.size
-        assert band.mean == float(weights.mean())
+        assert band.mean == statistics.fmean(weights.tolist())
         assert [band.q05, band.q95] == np.quantile(weights, [0.05, 0.95]).tolist()
 
 

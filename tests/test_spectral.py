@@ -293,3 +293,5 @@ def test_spectrum_rejects_non_laplacian():
         spectrum(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="two vertices"):
         normalized_kirchhoff(1.0, 1)
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        spectrum(np.zeros((2, 3)))
