@@ -23,6 +23,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
+from types import NoneType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import ConfigError, NetworkFormatError, NumericalError, RiskNetError
@@ -271,15 +272,16 @@ class RobustnessReport:
     surviving_order: tuple[int | None, ...]
 
     def __post_init__(self) -> None:
-        """Refuse what no analyzed window yields: NaN, a non-finite density,
-        Kirchhoff index, clustering or strength, and a removal impact that
-        is -inf or disagrees with its surviving order (an integer, not a
-        bool, exactly where the impact is +inf)."""
-        values = (self.kirchhoff, self.normalized_kirchhoff, *self.werc)
-        if any(math.isnan(v) for v in values):
-            raise NumericalError(
-                f"window {self.label}: NaN in Kirchhoff index or removal impacts"
-            )
+        """Refuse what no analyzed window yields. ``NumericalError``: NaN, a
+        non-finite density, Kirchhoff index, clustering or strength, an
+        impact of -inf, and a surviving order that is not an integer (nor a
+        bool) where the impact is +inf, or not None where it is finite.
+        ``ValueError``: a per-vertex column of other than one entry per
+        analyzed firm, fewer than three, a repeated name, analyzed firms
+        not some of ``firms`` in their order, and a surviving order of m
+        analyzed firms outside [1, m - 2]."""
+        if any(map(math.isnan, (self.kirchhoff, self.normalized_kirchhoff, *self.werc))):
+            raise NumericalError(f"window {self.label}: NaN in Kirchhoff index or removal impacts")
         finite = (
             self.density, self.kirchhoff, self.normalized_kirchhoff,
             *self.clustering, *self.strength,
@@ -290,12 +292,27 @@ class RobustnessReport:
                 "clustering or strength"
             )
         for firm, impact, order in zip(self.analyzed_firms, self.werc, self.surviving_order):
-            if impact == -math.inf or (impact == math.inf) != (type(order) is int):
+            if impact == -math.inf or type(order) is not (int if impact == math.inf else NoneType):
                 raise NumericalError(
                     f"window {self.label}: firm {firm} has removal impact {impact} "
                     f"with surviving order {order}"
                 )
-
+        m = len(self.analyzed_firms)
+        for key in _VERTEX_KEYS[1:]:
+            if len(getattr(self, key)) != m:
+                raise ValueError(f"{key} has {len(getattr(self, key))} entries for {m} firms")
+        if m < 3:
+            raise ValueError(f"need at least three vertices, got {m}")
+        _distinct("firms", self.firms, ValueError)
+        _distinct("firm", self.analyzed_firms, ValueError)
+        listed = iter(self.firms)
+        stray = next((firm for firm in self.analyzed_firms if firm not in listed), None)
+        if stray is not None:
+            raise ValueError(f"firm {stray!r} is not in firms, or out of their order")
+        top = m - 2  # a cut leaves the other m - 1 firms in two parts or more
+        wrong = [k for k in self.surviving_order if k is not None and not 1 <= k <= top]
+        if wrong:
+            raise ValueError(f"surviving_order must lie in [1, {top}], got {wrong[0]}")
 
 
 def rank_firms(
@@ -410,28 +427,28 @@ def _check_types(records: Sequence, columns: Sequence, types: set, message: str)
     raise NetworkFormatError(message.format(records[at]))
 
 
-def _checked(key: str, values: list, kind: str) -> list:
-    """``values`` of ``key``, once each is of ``kind``; else the error
-    ``<key> must be <kind>, got <the first value that is not>``."""
+def _checked(key: str, values: list, kind: str) -> tuple:
+    """``values`` of ``key``, once each is of ``kind``, as a tuple, with a
+    number read as a float; else the error ``<key> must be <kind>, got <the
+    first value that is not>``."""
     _check_types(values, (values,), _KINDS[kind], f"{key} must be {kind}, got {{!r}}")
-    return values
+    return tuple(map(float, values) if kind.startswith("a number") else values)
 
 
 def _field(payload: dict, key: str, kind: str):
-    """``payload[key]``, once it is of ``kind``: a list, then each of its
-    entries, for a "list of" kind; read as a float for "a number"."""
+    """``payload[key]``, once it is of ``kind`` (:func:`_checked`): a list,
+    then each of its entries, for a "list of" kind."""
     value = payload[key]
     if kind.startswith("a list of "):
         return _checked(key, _checked(key, [value], "a list")[0], kind)
-    value = _checked(key, [value], kind)[0]
-    return float(value) if kind == "a number" else value
+    return _checked(key, [value], kind)[0]
 
 
-def _distinct(key: str, names: list) -> list:
-    """``names``, the ``key`` of a saved file, once none of them repeats."""
+def _distinct(key: str, names: tuple, error: type[Exception] = NetworkFormatError) -> tuple:
+    """``names``, the ``key`` of a network or report, once none repeats."""
     if len(set(names)) < len(names):
         name = next(x for k, x in enumerate(names) if x in names[:k])
-        raise NetworkFormatError(f"{key} repeats {name!r}")
+        raise error(f"{key} repeats {name!r}")
     return names
 
 
@@ -447,14 +464,6 @@ def read_json(path: str | Path, parse: Callable[[dict], _T]) -> _T:
         return parse(payload)
     except RiskNetError as exc:
         raise type(exc)(f"{path}: {exc}") from None
-
-
-def _numbers(key: str, values: list, *, inf: bool = False) -> tuple[float, ...]:
-    """``values`` of ``key`` as floats, once each is a JSON number, or with
-    ``inf`` also the string "inf"."""
-    if inf:
-        values = [math.inf if x == "inf" else x for x in values]
-    return tuple(map(float, _checked(key, values, "a number or 'inf'" if inf else "a number")))
 
 
 @dataclass(frozen=True)
@@ -488,7 +497,7 @@ def network_from_dict(payload: dict) -> SavedNetwork:
         window_id = _field(payload, "window_id", "an integer")
         label = _field(payload, "label", "a string")
         n = _field(payload, "n", "an integer")
-        firms = tuple(_distinct("firms", _field(payload, "firms", "a list of strings")))
+        firms = _distinct("firms", _field(payload, "firms", "a list of strings"))
         edges = payload["edges"]
     except (KeyError, TypeError) as exc:
         raise NetworkFormatError(f"bad network payload: {exc}") from None
@@ -529,42 +538,31 @@ def report_from_dict(payload: dict) -> RobustnessReport:
     the header in file order, then the vertices column by column: nothing is
     coerced. Numbers must be JSON numbers, and only ``werc`` may be "inf";
     ``window_id`` and each surviving order must be integers (2.7 is refused,
-    not truncated), a surviving order may be null, and one of m vertices
-    lies in [1, m - 2], as a cut's largest survivor does; ``label`` and each
+    not truncated), and a surviving order may be null; ``label`` and each
     ``firm`` must be strings, ``component_note`` a string or null and
-    ``firms`` a list of strings. No name repeats in ``firms``, and the
-    vertices' firms are some of ``firms``, in their order, each once. There
-    are at least three vertices: no analyzed window has fewer."""
+    ``firms`` a list of strings. The rest are :class:`RobustnessReport`'s
+    own rules, and its ``ValueError`` is raised as ``NetworkFormatError``."""
     try:
         version = _field(payload, "schema_version", "an integer")
         if version != REPORT_SCHEMA_VERSION:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
         header = {key: _field(payload, key, kind) for key, kind in _REPORT_HEADER}
-        firms = _distinct("firms", header.pop("firms"))
         vertices = _field(payload, "vertices", "a list")
-        if len(vertices) < 3:
-            raise NetworkFormatError(f"need at least three vertices, got {len(vertices)}")
         column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
-        analyzed = _distinct("firm", _checked("firm", column["firm"], "a string"))
-        listed = iter(firms)
-        stray = next((firm for firm in analyzed if firm not in listed), None)
-        if stray is not None:
-            raise NetworkFormatError(f"firm {stray!r} is not in firms, or out of their order")
+        column["werc"] = [math.inf if x == "inf" else x for x in column["werc"]]
+        analyzed = _checked("firm", column["firm"], "a string")
         numbers = {
-            key: _numbers(key, column[key], inf=key == "werc")
+            key: _checked(key, column[key], "a number or 'inf'" if key == "werc" else "a number")
             for key in ("werc", "clustering", "strength")
         }
         orders = _checked("surviving_order", column["surviving_order"], "an integer or null")
-        top = len(vertices) - 2  # a cut leaves the other m - 1 firms in two parts or more
-        wrong = next((k for k in orders if k is not None and not 1 <= k <= top), None)
-        if wrong is not None:
-            raise NetworkFormatError(f"surviving_order must lie in [1, {top}], got {wrong}")
-        return RobustnessReport(
-            **header, **numbers, firms=tuple(firms), analyzed_firms=tuple(analyzed),
-            surviving_order=tuple(orders),
-        )
     except (KeyError, TypeError, OverflowError) as exc:
         raise NetworkFormatError(f"bad report payload: {exc}") from None
+    try:
+        return RobustnessReport(**header, **numbers, analyzed_firms=analyzed,
+                                surviving_order=orders)
+    except ValueError as exc:
+        raise NetworkFormatError(str(exc)) from None
 
 
 # A report's header after its schema version, in file order: each key is

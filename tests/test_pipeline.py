@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
@@ -303,12 +303,52 @@ def test_report_with_nan_werc_is_refused():
         dict(surviving_order=(None, 2, None)),
         # the writer would put out `true`, which the reader refuses
         dict(werc=(math.inf, 0.25, 0.1), surviving_order=(True, None, None)),
+        # a finite impact has no surviving order, not even one written `true`
+        dict(surviving_order=(None, None, True)),
     ],
     ids=str,
 )
 def test_report_with_inconsistent_values_is_refused(change):
     report = fake_report(3, "2001-03", ("A", "B", "C"), (0.5, 0.25, 0.1))
     with pytest.raises(NumericalError, match="window 2001-03: "):
+        dataclasses.replace(report, **change)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # write_report would zip the columns and drop firm D
+        (dict(werc=(0.5, 0.25, 0.1)), "werc has 3 entries for 4 firms"),
+        (dict(clustering=(0.5, 0.5, 0.5)), "clustering has 3 entries for 4 firms"),
+        (dict(strength=(1.0, 1.0, 1.0)), "strength has 3 entries for 4 firms"),
+        (dict(surviving_order=(None, None, None)), "surviving_order has 3 entries for 4 firms"),
+        # rank would count a firm twice in one window
+        (dict(firms=("A", "B", "C", "D", "A")), "firms repeats 'A'"),
+        (dict(analyzed_firms=("A", "B", "B", "D")), "firm repeats 'B'"),
+        (dict(analyzed_firms=("B", "A", "C", "D")),
+         "firm 'A' is not in firms, or out of their order"),
+        (dict(analyzed_firms=("A", "B", "C", "E")),
+         "firm 'E' is not in firms, or out of their order"),
+        # no analyzed window has fewer than three firms
+        (dict(analyzed_firms=("A", "B"), werc=(0.5, 0.25), clustering=(0.5, 0.5),
+              strength=(1.0, 1.0), surviving_order=(None, None)),
+         "need at least three vertices, got 2"),
+        # a cut leaves the other m - 1 firms in two parts or more
+        (dict(werc=(math.inf, 0.25, 0.1, 0.05), surviving_order=(0, None, None, None)),
+         "surviving_order must lie in [1, 2], got 0"),
+        (dict(werc=(math.inf, 0.25, 0.1, 0.05), surviving_order=(3, None, None, None)),
+         "surviving_order must lie in [1, 2], got 3"),
+    ],
+    ids=[
+        "werc-short", "clustering-short", "strength-short", "order-short", "firms-repeat",
+        "firm-repeat", "firm-order", "firm-unlisted", "two-vertices", "order-zero",
+        "order-m-minus-1",
+    ],
+)
+def test_report_structure_is_refused_at_construction(change, message):
+    # the saved-report reader's rules, so write_report cannot write what rank refuses
+    report = fake_report(3, "2001-03", ("A", "B", "C", "D"), (0.5, 0.25, 0.1, 0.05))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(report, **change)
 
 
@@ -439,21 +479,22 @@ FLOATS = st.one_of(
 
 
 @st.composite
-def reports(draw) -> RobustnessReport:
-    """Reports of 0-10 analyzed firms among 0-10, each with a finite
-    removal impact or an infinite one and its surviving order. Most are as
-    an analyzed window's, with three or more analyzed firms, surviving
-    orders in [1, m - 2] for m of them and a month label, so they reach the
-    reader; about one in four may have fewer firms, one in four any order
-    from 0 to 200, and one in four any label."""
-    least = 3 * (draw(st.integers(0, 3)) > 0)
+def report_fields(draw, faulty: bool = True) -> dict:
+    """The fields of a report of 0-10 analyzed firms among 0-10, each with
+    a finite removal impact or an infinite one and its surviving order.
+    Most are as an analyzed window's, with three or more analyzed firms,
+    surviving orders in [1, m - 2] for m of them and a month label. When
+    ``faulty``, about one in four may have fewer firms and one in four any
+    order from 0 to 200, which the report refuses; one in four has any
+    label, which only the reader refuses."""
+    least = 3 * (not faulty or draw(st.integers(0, 3)) > 0)
     firms = draw(st.lists(NAMES, min_size=least, max_size=10, unique=True))
     picked = draw(st.sets(st.integers(0, max(len(firms) - 1, 0)), min_size=least))
     analyzed = [f for k, f in enumerate(firms) if k in picked]
     cut = [draw(st.booleans()) for _ in analyzed]
-    valid = len(analyzed) > 2 and draw(st.integers(0, 3)) > 0
+    valid = len(analyzed) > 2 and (not faulty or draw(st.integers(0, 3)) > 0)
     orders = st.integers(1, len(analyzed) - 2) if valid else st.integers(0, 200)
-    return RobustnessReport(
+    return dict(
         window_id=draw(st.integers(0, 10**6)),
         label=draw(MONTHS if draw(st.integers(0, 3)) else LABELS),
         firms=tuple(firms),
@@ -470,20 +511,25 @@ def reports(draw) -> RobustnessReport:
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(reports())
-def test_report_writer_bytes_match_json_dump(report):
+@given(report_fields())
+def test_report_writer_bytes_match_json_dump(fields):
+    top = len(fields["analyzed_firms"]) - 2
+    if top < 1:
+        with pytest.raises(ValueError, match="at least three vertices"):
+            RobustnessReport(**fields)
+        return
+    if any(k is not None and not 1 <= k <= top for k in fields["surviving_order"]):
+        with pytest.raises(ValueError, match=r"surviving_order must lie in \[1, "):
+            RobustnessReport(**fields)
+        return
+    # every report that is made is written, and read back equal
+    report = RobustnessReport(**fields)
     with tempfile.TemporaryDirectory() as out:
         (path,) = write_reports([report], out)
         text = path.read_bytes().decode("utf-8")
         assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-        top = len(report.analyzed_firms) - 2
-        if top < 1:
-            with pytest.raises(NetworkFormatError, match="at least three vertices"):
-                read_reports(out)
-        elif any(k is not None and not 1 <= k <= top for k in report.surviving_order):
-            with pytest.raises(NetworkFormatError, match=r"surviving_order must lie in \[1, "):
-                read_reports(out)
-        elif not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", report.label):
+        assert report_from_dict(json.loads(text)) == report
+        if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", report.label):
             with pytest.raises(NetworkFormatError, match="is not a month YYYY-MM"):
                 read_reports(out)
         else:
@@ -491,10 +537,9 @@ def test_report_writer_bytes_match_json_dump(report):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(reports())
+@given(report_fields(faulty=False).map(lambda fields: RobustnessReport(**fields)))
 def test_timeseries_median_is_numpys(report):
     # the reports module takes the median without numpy, to the same float
-    assume(report.clustering)
     (row,) = timeseries_rows([report])
     with np.errstate(over="ignore"):
         assert row[4] == float(np.median(report.clustering))
@@ -543,9 +588,9 @@ def test_weight_band_floats_are_numpys(networks):
 
 @pytest.mark.parametrize("field, value", [("clustering", math.nan), ("werc", -math.inf)])
 def test_report_writer_refuses_non_finite_floats(field, value, tmp_path):
-    report = fake_report(1, "2008-03", ("A", "B"), (0.25, 0.5))
+    report = fake_report(1, "2008-03", ("A", "B", "C"), (0.25, 0.5, 0.1))
     # past the report's own validation, as json.dump would meet it
-    object.__setattr__(report, field, (value, 0.5))
+    object.__setattr__(report, field, (value, 0.5, 0.1))
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_report(report, tmp_path / "report.json")
     assert not (tmp_path / "report.json").exists()  # nothing is written
@@ -571,44 +616,54 @@ def test_rank_firms_orders_and_quartiles():
 
 
 def test_rank_firms_coverage_floor_excludes():
+    # Z, of no impact, makes up the three firms of an analyzed window
     reports = [
-        fake_report(t, f"2001-{t:02d}", ("A", "B"), (0.2, 0.1)) for t in range(1, 9)
+        fake_report(t, f"2001-{t:02d}", ("A", "B", "Z"), (0.2, 0.1, 0.0)) for t in range(1, 9)
     ]
     # C shows up in exactly one of eight windows: below the 25% floor
     reports[0] = fake_report(1, "2001-01", ("A", "B", "C"), (0.2, 0.1, 9.9))
     (table,) = rank_firms(reports, ())
-    assert [r.firm for r in table.rows] == ["A", "B"]
+    assert [r.firm for r in table.rows] == ["A", "B", "Z"]
     assert table.excluded == (("C", 1),)
     # at exactly 25% (2 of 8) the firm is kept
     reports[1] = fake_report(2, "2001-02", ("A", "B", "C"), (0.2, 0.1, 9.9))
     (table,) = rank_firms(reports, ())
-    assert [r.firm for r in table.rows] == ["C", "A", "B"]
+    assert [r.firm for r in table.rows] == ["C", "A", "B", "Z"]
 
 
 def test_rank_firms_infinite_means_rank_first_with_tie_rules():
-    firms = ("A", "B", "C", "D")
+    # E, of no impact, makes five firms, so that a cut may leave three
+    firms = ("A", "B", "C", "D", "E")
     reports = [
         fake_report(
             1,
             "2001-01",
             firms,
-            (math.inf, math.inf, 5.0, 0.1),
-            survivors=(3, 2, None, None),
+            (math.inf, math.inf, 5.0, 0.1, 0.0),
+            survivors=(3, 2, None, None, None),
         ),
         fake_report(
             2,
             "2001-02",
             firms,
-            (0.0, math.inf, 4.0, 0.2),
-            survivors=(None, 2, None, None),
+            (0.0, math.inf, 4.0, 0.2, 0.0),
+            survivors=(None, 2, None, None, None),
         ),
     ]
     (table,) = rank_firms(reports, ())
     # B disconnects twice, A once; both beat every finite mean
-    assert [r.firm for r in table.rows] == ["B", "A", "C", "D"]
+    assert [r.firm for r in table.rows] == ["B", "A", "C", "D", "E"]
     assert table.rows[0].mean_werc == math.inf
     assert table.rows[1].mean_werc == math.inf
     assert table.rows[2].mean_werc == pytest.approx(4.5)
+
+
+def padded(firms, windows, expected):
+    """The case with five firms of no impact after the others in each
+    window, ranked last, so that a cut may leave up to 6 of the 8."""
+    pad = "VWXYZ"
+    windows = [(werc + (0.0,) * 5, survivors + (None,) * 5) for werc, survivors in windows]
+    return firms + pad, windows, expected + pad
 
 
 @pytest.mark.parametrize(
@@ -616,9 +671,9 @@ def test_rank_firms_infinite_means_rank_first_with_tie_rules():
     [
         ("BAC", [((0.3, 0.3, 0.1), None)], "ABC"),
         # A leaves components of 2 then 6 firms, B of 3 and 3: B's average is smaller
-        ("ABC", [((math.inf, math.inf, 0.1), (2, 3, None)),
-                 ((math.inf, math.inf, 0.2), (6, 3, None))], "BAC"),
-        ("BAC", [((math.inf, math.inf, 0.1), (4, 4, None))], "ABC"),
+        padded("ABC", [((math.inf, math.inf, 0.1), (2, 3, None)),
+                       ((math.inf, math.inf, 0.2), (6, 3, None))], "BAC"),
+        padded("BAC", [((math.inf, math.inf, 0.1), (4, 4, None))], "ABC"),
     ],
     ids=["equal-means-by-identifier", "equal-counts-by-average-order", "full-tie-by-identifier"],
 )
@@ -647,9 +702,10 @@ def test_rank_firms_per_period_membership():
     assert [r.firm for r in tables["Two"].rows] == ["C", "B", "A"]
     assert tables[ALL_PERIODS].window_count == 3
     # firm absent from a period's windows entirely: excluded from that table
-    reports_gap = reports[:2] + [fake_report(3, "2002-01", ("B", "C"), (0.2, 0.3))]
+    # (Z, of no impact, makes up the three firms of an analyzed window)
+    reports_gap = reports[:2] + [fake_report(3, "2002-01", ("B", "C", "Z"), (0.2, 0.3, 0.0))]
     tables = {t.period: t for t in rank_firms(reports_gap, periods)}
-    assert [r.firm for r in tables["Two"].rows] == ["C", "B"]
+    assert [r.firm for r in tables["Two"].rows] == ["C", "B", "Z"]
 
 
 def test_ranking_relabel_invariance():
@@ -746,7 +802,7 @@ def test_timeseries_rows_and_export(tmp_path):
 
 def test_rankings_csv_serializes_inf(tmp_path):
     report = fake_report(
-        1, "2001-01", ("A", "B", "C"), (math.inf, 0.5, 0.25), survivors=(2, None, None)
+        1, "2001-01", ("A", "B", "C"), (math.inf, 0.5, 0.25), survivors=(1, None, None)
     )
     (path,) = write_rankings(rank_firms([report], ()), tmp_path)
     assert path.read_text().splitlines() == [

@@ -15,7 +15,7 @@ import pytest
 import risknet
 from risknet import errors
 from risknet.panel import save_returns
-from risknet.reports import StudyConfig
+from risknet.reports import _REPORT_HEADER, _VERTEX_KEYS, RobustnessReport, StudyConfig
 from risknet.synthetic import generate_panel
 
 TOP_LEVEL = {
@@ -107,6 +107,18 @@ def test_study_config_fields_are_pinned():
     # the study's parameters; paths and command switches stay with the command
     fields = [f.name for f in dataclasses.fields(StudyConfig)]
     assert fields == ["alpha", "min_obs", "delimiter", "sub_periods"]
+
+
+def test_report_fields_are_pinned_to_the_saved_layout():
+    # a new field must pass through the writer, the reader and this contract:
+    # each is a key of the saved header or of a vertex, whose "firm" is an analyzed firm
+    fields = [f.name for f in dataclasses.fields(RobustnessReport)]
+    assert fields == [
+        "window_id", "label", "firms", "analyzed_firms", "component_note", "density",
+        "kirchhoff", "normalized_kirchhoff", "werc", "clustering", "strength", "surviving_order",
+    ]
+    vertex = ["analyzed_firms" if key == "firm" else key for key in _VERTEX_KEYS]
+    assert sorted([key for key, _ in _REPORT_HEADER] + vertex) == sorted(fields)
 
 
 def test_readme_library_use_block_runs(tmp_path, monkeypatch):
