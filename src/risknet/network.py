@@ -105,8 +105,7 @@ class RiskNetwork:
 
     @property
     def m(self) -> int:
-        iu = np.triu_indices(self.n, k=1)
-        return int(np.count_nonzero(self.weights[iu]))
+        return np.count_nonzero(self.weights) // 2
 
     @property
     def adjacency(self) -> np.ndarray:

@@ -5,8 +5,9 @@ trading day, and every other column holds one firm's daily returns. Empty
 cells mean "not observed" (the firm did not trade or report that day); they
 are tracked in a boolean mask, never imputed.
 
-Files are read in one pass and validated as they are parsed, so errors can
-name the offending row and column.
+Files are read in one pass and validated as they are parsed: one parser
+turns each cell into a float, so errors can name the offending row and
+column, and each row is kept as packed doubles until the panel is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import csv
 import datetime as dt
 import math
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -56,8 +59,7 @@ class ReturnPanel:
             raise PanelFormatError("duplicate firm identifiers")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise PanelFormatError("dates must be strictly increasing")
-        observed = self.returns[self.mask]
-        if observed.size and not np.all(np.isfinite(observed)):
+        if not np.all(np.isfinite(self.returns) | ~self.mask):
             raise PanelFormatError("observed returns must be finite")
         self.returns.setflags(write=False)
         self.mask.setflags(write=False)
@@ -86,9 +88,12 @@ def _underflows(text: str) -> bool:
 
 
 def _parse_cell(text: str, row: int, firm: str) -> float:
+    """The cell's return, NaN when it is blank. A cell that is not ASCII
+    decimal text, not finite, or a nonzero that underflows to 0.0 raises,
+    naming the row, the column and the text."""
     value_text = text.strip()
     if not value_text:
-        return float("nan")
+        return math.nan
     try:
         if not value_text.isascii() or "_" in value_text:  # float() reads both
             raise ValueError
@@ -97,7 +102,7 @@ def _parse_cell(text: str, row: int, firm: str) -> float:
         raise PanelFormatError(
             f"row {row}, column {firm!r}: not a number: {_shown(text)}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise PanelFormatError(
             f"row {row}, column {firm!r}: non-finite value {text!r}"
         )
@@ -106,44 +111,19 @@ def _parse_cell(text: str, row: int, firm: str) -> float:
     return value
 
 
-# An empty cell is missing, read as the text "nan"; _parse_row tells the
-# two apart by counting a row's empty cells.
-_EMPTY_AS_NAN = {"": "nan"}
-
-
-def _parse_row(cells: list[str]) -> list[float] | None:
-    """The row's values, NaN for its empty cells, in one ``float`` pass;
-    None when :func:`_parse_cell` must go through it: a cell that is
-    whitespace only, not a number, NaN or infinite text, or an underflow.
-
-    ``float`` strips the same whitespace as ``str.strip``.
-    """
-    try:
-        values = list(map(float, map(_EMPTY_AS_NAN.get, cells, cells)))
-    except ValueError:
-        return None
-    # a sum that is not finite comes from an empty cell, NaN or infinite
-    # text, or finite values whose sum overflows
-    if not math.isfinite(sum(values)):
-        row = np.array(values)
-        if np.isinf(row).any() or np.isnan(row).sum() != cells.count(""):
-            return None
-    underflow = 0.0 in values and any(_underflows(c) for c, v in zip(cells, values) if v == 0.0)
-    return None if underflow else values
-
-
 def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
     """Parse the delimited UTF-8 return table at ``path`` into a :class:`ReturnPanel`.
 
     The first row is a required header ("date" plus one firm identifier per
     column); data rows carry an ISO date followed by returns, with empty cells
-    meaning missing. Rows are sorted by date. Each row's cells are parsed in
-    one ``float`` pass; only a row whose text is not ASCII or holds ``_``, or
-    where that pass fails (see :func:`_parse_row`), is parsed again cell by
-    cell, so parse errors name the 1-based file row, the column involved and
-    the cell's text, and the first bad row in the file is the one named. The
-    file is parsed as it is read, so a bad row is named before a byte that is
-    not UTF-8 in a later 8 KiB block. A line ends only at CR, LF or CRLF.
+    meaning missing. Rows are sorted by date. Every cell goes through
+    :func:`_parse_cell`, in file order, so parse errors name the 1-based
+    file row, the column involved and the cell's text, and the first bad
+    cell in the file is the one named. Each row is kept as an
+    ``array('d')`` of 8 bytes a value, and ``returns`` is built from their
+    joined bytes. The file is parsed as it is read, so a bad row is named
+    before a byte that is not UTF-8 in a later 8 KiB block. A line ends only
+    at CR, LF or CRLF.
     """
     with _opened(path, PanelFormatError) as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -160,10 +140,10 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
                 dupes = sorted({f for f in firms if firms.count(f) > 1})
                 raise PanelFormatError(f"duplicate firm columns: {', '.join(dupes)}")
 
-            rows: list[tuple[dt.date, list[float]]] = []
+            rows: list[tuple[dt.date, array]] = []
             seen: dict[dt.date, int] = {}
             for row_no, record in enumerate(reader, start=2):
-                if not (text := "".join(record)).strip():
+                if not "".join(record).strip():
                     continue
                 if len(record) != len(firms) + 1:
                     raise PanelFormatError(
@@ -182,13 +162,7 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
                         f"(first seen at row {seen[date]})"
                     )
                 seen[date] = row_no
-                values = _parse_row(record[1:]) if text.isascii() and "_" not in text else None
-                if values is None:
-                    values = [
-                        _parse_cell(cell, row_no, firms[col])
-                        for col, cell in enumerate(record[1:])
-                    ]
-                rows.append((date, values))
+                rows.append((date, array("d", map(_parse_cell, record[1:], repeat(row_no), firms))))
         except csv.Error as exc:  # such as a cell over the csv module's field size limit
             raise PanelFormatError(f"row {reader.line_num}: {exc}") from None
 
@@ -196,7 +170,7 @@ def load_returns(path: str | Path, *, delimiter: str = ",") -> ReturnPanel:
         raise PanelFormatError("empty table: no data rows")
     rows.sort(key=lambda item: item[0])
     dates = tuple(date for date, _ in rows)
-    returns = np.array([values for _, values in rows], dtype=float)
+    returns = np.frombuffer(b"".join(values for _, values in rows)).reshape(len(dates), len(firms))
     mask = ~np.isnan(returns)
     return ReturnPanel(dates=dates, firms=firms, returns=returns, mask=mask)
 

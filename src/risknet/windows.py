@@ -82,8 +82,8 @@ def window_panel(panel: ReturnPanel, min_obs: int = 15) -> list[WindowSlice]:
                 label=f"{year:04d}-{month:02d}",
                 dates=panel.dates[start:end],
                 firms=firms,
-                returns=panel.returns[start:end, eligible].copy(),
-                mask=panel.mask[start:end, eligible].copy(),
+                returns=panel.returns[start:end, eligible],
+                mask=panel.mask[start:end, eligible],
                 min_obs=min_obs,
                 degenerate=len(firms) < 2,
             )

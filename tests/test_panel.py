@@ -7,6 +7,7 @@ import datetime as dt
 import io
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from risknet.errors import PanelFormatError
 from risknet.panel import ReturnPanel, load_returns, panel_from_rows, save_returns
+from risknet.synthetic import generate_panel
 
 
 def _load(text: str, **kwargs) -> ReturnPanel:
@@ -177,6 +179,20 @@ def test_panel_is_read_only():
     panel = _load("date,A\n2001-01-02,0.01\n")
     with pytest.raises(ValueError):
         panel.returns[0, 0] = 1.0
+
+
+def test_panel_load_peak_below_four_times_its_returns(tmp_path):
+    path = tmp_path / "panel.csv"
+    save_returns(generate_panel(120, (2001, 1), (2004, 12), seed=5), path)
+    load_returns(path)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        panel = load_returns(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.returns.shape == (1045, 120)
+    assert peak <= 4 * panel.returns.nbytes
 
 
 def per_cell_oracle(text: str) -> ReturnPanel:

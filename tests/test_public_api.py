@@ -171,3 +171,52 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     }
     assert imported == {("panel", "reports", "_opened"), ("charts", "reports", "_write_files")}
+
+
+def _private_bindings(tree: ast.Module):
+    """(name, statement) of each module-level binding of a private name,
+    dunders aside: a def, a class, an assignment or an import."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names = [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, stmt
+
+
+def test_every_private_name_has_a_use():
+    # a helper with no caller goes; a use is a read of the name in its module,
+    # an attribute of that name, or an import of it by another module, each
+    # outside the statement that binds it
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(risknet.__file__).parent.glob("*.py"))
+    }
+    bindings = [(stem, name, stmt) for stem, tree in trees.items()
+                for name, stmt in _private_bindings(tree)]
+    unused = []
+    for stem, name, stmt in bindings:
+        inside = {id(node) for node in ast.walk(stmt)}
+        if not any(
+            id(node) not in inside and (
+                (other == stem and isinstance(node, ast.Name) and node.id == name
+                 and not isinstance(node.ctx, ast.Store))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.ImportFrom) and other != stem
+                    and (node.module or "").rpartition(".")[2] == stem
+                    and any(alias.name == name for alias in node.names))
+            )
+            for other, tree in trees.items()
+            for node in ast.walk(tree)
+        ):
+            unused.append(f"{stem}.{name}")
+    assert len(bindings) > 50
+    assert unused == []

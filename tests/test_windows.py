@@ -124,6 +124,17 @@ def test_degenerate_window_flagged_not_dropped():
     assert not slices[1].degenerate
 
 
+def test_slices_are_read_only_and_share_no_memory_with_the_panel():
+    panel = make_panel(dt.date(2003, 1, 1), dt.date(2003, 3, 31), 4, missing=[(0, 2), (5, 1)])
+    for s in window_panel(panel):
+        rows = [t for t, d in enumerate(panel.dates) if d in s.dates]
+        columns = [panel.firms.index(f) for f in s.firms]
+        for got, whole in ((s.returns, panel.returns), (s.mask, panel.mask)):
+            assert np.array_equal(got, whole[np.ix_(rows, columns)], equal_nan=got.dtype == float)
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, whole)
+
+
 def test_bad_scheme_rejected():
     panel = make_panel(dt.date(2001, 1, 1), dt.date(2001, 1, 31), 2)
     with pytest.raises(WindowError, match="min_obs"):
