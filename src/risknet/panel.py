@@ -181,8 +181,10 @@ def save_returns(panel: ReturnPanel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("date",) + panel.firms)
-        for date, values, seen in zip(panel.dates, panel.returns.tolist(), panel.mask.tolist()):
-            cells = [repr(value) if observed else "" for value, observed in zip(values, seen)]
+        for date, values, seen in zip(panel.dates, panel.returns, panel.mask):
+            # a row at a time: lists of the whole panel would hold a Python float per cell
+            cells = [repr(value) if observed else ""
+                     for value, observed in zip(values.tolist(), seen.tolist())]
             writer.writerow([date.isoformat(), *cells])
 
 

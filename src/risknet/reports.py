@@ -7,8 +7,8 @@ subject to a minimum-coverage rule, with quartiles. This module writes
 every output file but the charts, and holds the one writer of every
 output directory, which deletes what an earlier run left there. Both
 saved formats are written and read here: networks and reports share one
-codec, one record writer and one exact-type checker, and a saved network
-is read as its edge list.
+writer, a single ``json.dumps`` call per file, and one exact-type checker,
+and a saved network is read as its edge list.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -41,8 +41,8 @@ log = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
 
-NETWORK_SCHEMA_VERSION = 1
-REPORT_SCHEMA_VERSION = 1
+NETWORK_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 2
 ALL_PERIODS = "All periods"
 COVERAGE_FLOOR = 0.25
 
@@ -382,26 +382,6 @@ def _write_csv(header: Sequence[str], rows: Iterable[tuple], path: Path) -> None
         writer.writerows(rows)  # a float as its repr, inf as inf
 
 
-def _write_records(
-    path: str | Path, header: dict, key: str, template: str, columns: Iterable
-) -> None:
-    """Write ``header`` plus ``key``, a list of records, byte for byte as
-    ``json.dump(..., indent=2, allow_nan=False)`` and a newline would. Only
-    the header meets the json module's pure-Python encoder (a NaN or an
-    infinite float in it raises ``ValueError``, and nothing is written):
-    record k is ``template`` with its ``{}`` slots filled by the k-th JSON
-    text of each column."""
-    head = json.dumps(header, indent=2, allow_nan=False)[: -len("\n}")]
-    fixed = template.split("{}")  # the text before, between and after the slots
-    # record k joins the k-th of each: a fixed text, a value, ..., the last text
-    texts = [*chain.from_iterable(zip(map(repeat, fixed), columns)), repeat(fixed[-1])]
-    records = ",\n".join(map("".join, zip(*texts)))
-    body = f"[\n{records}\n  ]" if records else "[]"
-    text = f'{head},\n  "{key}": {body}\n}}\n'
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 # What json.load gives each kind of saved value, by the words that name it
 # in an error: exact types, so a bool is not an integer. A "list of" kind
 # holds the types of the list's entries.
@@ -492,7 +472,7 @@ def network_from_dict(payload: dict) -> SavedNetwork:
     """
     try:
         version = _field(payload, "schema_version", "an integer")
-        if version != NETWORK_SCHEMA_VERSION:
+        if not 1 <= version <= NETWORK_SCHEMA_VERSION:  # version 1 differs only in layout
             raise NetworkFormatError(f"unsupported schema version {version!r}")
         window_id = _field(payload, "window_id", "an integer")
         label = _field(payload, "label", "a string")
@@ -544,7 +524,7 @@ def report_from_dict(payload: dict) -> RobustnessReport:
     own rules, and its ``ValueError`` is raised as ``NetworkFormatError``."""
     try:
         version = _field(payload, "schema_version", "an integer")
-        if version != REPORT_SCHEMA_VERSION:
+        if not 1 <= version <= REPORT_SCHEMA_VERSION:  # version 1 differs only in layout
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
         header = {key: _field(payload, key, kind) for key, kind in _REPORT_HEADER}
         vertices = _field(payload, "vertices", "a list")
@@ -574,42 +554,35 @@ _REPORT_HEADER = (
 )
 _VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
 
-# One vertex and one edge in the layout ``json.dump(..., indent=2)`` gives them.
-_VERTEX = "    {\n" + ",\n".join(f'      "{key}": {{}}' for key in _VERTEX_KEYS) + "\n    }"
-_EDGE = "    [\n      {},\n      {},\n      {}\n    ]"
-
-
-def _json_items(values: Iterable) -> list[str]:
-    """The JSON text of each of ``values`` (strings, numbers, null or
-    "inf"), as ``json.dumps(..., allow_nan=False)`` writes it, from one call
-    of the json module's C encoder: no such text holds a line end. A NaN or
-    infinite float raises ``ValueError``."""
-    text = json.dumps(list(values), allow_nan=False, separators=("\n", ":"))[1:-1]
-    return text.split("\n") if text else []
+def _write_json(payload: dict, path: str | Path) -> None:
+    """Write ``payload`` as one line, ``json.dumps`` by the json module's C
+    encoder, and a newline. A NaN or infinite float raises ``ValueError``
+    before the file is opened, so nothing is written."""
+    # built by the writers below from numbers and strings, so it cannot hold a cycle
+    text = json.dumps(payload, allow_nan=False, check_circular=False) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 def write_network(net: RiskNetwork, path: str | Path) -> None:
-    """Write the header and ``edges``, the columns of ``net.saved()`` as
-    ``[i, j, weight]`` records, by :func:`_write_records`."""
+    """Write the header and ``edges``, the rows ``[i, j, weight]`` of
+    ``net.saved()``, by :func:`_write_json`."""
     saved = net.saved()
-    header = dict(schema_version=NETWORK_SCHEMA_VERSION, window_id=saved.window_id,
-                  label=saved.label, n=len(saved.firms), firms=list(saved.firms))
-    # repr of a Python int or finite float is the text json writes for it
-    edges = (saved.rows, saved.cols, saved.weights)
-    _write_records(path, header, "edges", _EDGE, [map(repr, column) for column in edges])
+    _write_json(dict(schema_version=NETWORK_SCHEMA_VERSION, window_id=saved.window_id,
+                     label=saved.label, n=len(saved.firms), firms=saved.firms,
+                     edges=list(zip(saved.rows, saved.cols, saved.weights))), path)
 
 
 def write_report(report: RobustnessReport, path: str | Path) -> None:
-    """Write the report by :func:`_write_records`, one record per analyzed
-    firm under "vertices", with an infinite removal impact as "inf". A
-    NaN or infinite float, other than an infinite removal impact, raises
-    ``ValueError``."""
-    header = {"schema_version": REPORT_SCHEMA_VERSION}
-    header.update((key, getattr(report, key)) for key, _ in _REPORT_HEADER)
+    """Write the header and "vertices", one object per analyzed firm with
+    an infinite removal impact as "inf", by :func:`_write_json`."""
+    payload = {"schema_version": REPORT_SCHEMA_VERSION}
+    payload.update((key, getattr(report, key)) for key, _ in _REPORT_HEADER)
     werc = ["inf" if w == math.inf else w for w in report.werc]
-    values = (werc, report.clustering, report.strength, report.surviving_order)
-    columns = map(_json_items, (report.analyzed_firms, *values))
-    _write_records(path, header, "vertices", _VERTEX, columns)
+    columns = (report.analyzed_firms, werc, report.clustering, report.strength,
+               report.surviving_order)
+    payload["vertices"] = [dict(zip(_VERTEX_KEYS, row)) for row in zip(*columns)]
+    _write_json(payload, path)
 
 
 def _window_files(directory: Path) -> dict[Path, int]:

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DisconnectedNetworkError, NumericalError
 from .network import RiskNetwork
@@ -347,8 +346,8 @@ def _grounded_kirchhoff(
 
 
 def _invert_lower(factor: np.ndarray) -> np.ndarray:
-    """Invert a stack of lower-triangular matrices with nonzero diagonals
-    in place, and return it.
+    """Invert a C-contiguous stack of lower-triangular matrices with
+    nonzero diagonals in place, and return it.
 
     The diagonal entries are inverted first. Then, with the inverses of
     the diagonal blocks of size s in hand, each pair of neighbouring
@@ -368,9 +367,10 @@ def _invert_lower(factor: np.ndarray) -> np.ndarray:
         if pairs:
             shape = (count, pairs, size, size)
             strides = (step, 2 * size * (row + col), row, col)
-            leading = as_strided(factor, shape, strides)
-            trailing = as_strided(factor[:, size:, size:], shape, strides)
-            corner = as_strided(factor[:, size:, :], shape, strides)
+            leading, trailing, corner = (
+                np.ndarray(shape, factor.dtype, factor, offset, strides)
+                for offset in (0, size * (row + col), size * row)
+            )
             _pair_inverse(leading, trailing, corner)
         start = 2 * size * pairs
         if order - start > size:

@@ -37,8 +37,8 @@ sums pairwise resistances from its pseudo-inverse. Neither shares a solver
 with ``spectral.werc_all`` or with the other.
 
 Saved reports: ``report_to_dict`` builds a report's payload one vertex at a
-time; ``json.dumps`` of it with ``indent=2``, plus a newline, is the
-report writer's byte format.
+time; ``json.dumps`` of it, plus a newline, is the report writer's byte
+format.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def effective_resistance_oracle(net: RiskNetwork) -> float:
 
 def report_to_dict(report: RobustnessReport) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "window_id": report.window_id,
         "label": report.label,
         "firms": list(report.firms),

@@ -178,6 +178,33 @@ def test_rerun_replaces_the_window_files(tmp_path):
     assert tree_bytes(reused) == tree_bytes(fresh)
 
 
+def test_version_1_trees_still_rank_and_chart(panel_csv, tmp_path, capsys):
+    # version 1 is the same payload as version 2, laid out by indent=2
+    current, older = tmp_path / "current", tmp_path / "older"
+    assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(current)]) == 0
+    shutil.copytree(current, older)
+    for path in [*older.glob("networks/*.json"), *older.glob("reports/*.json")]:
+        payload = dict(json.loads(path.read_text()), schema_version=1)
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+    periods = "T1=2007-01..2007-02;T2=2007-03..2007-03;T3=2007-04..2007-04"
+    results = []
+    for out in (current, older):
+        assert main(["rank", "--out", str(out), "--periods", periods]) == 0
+        assert main(["export-charts", "--out", str(out)]) == 0
+        tree = tree_bytes(out)
+        made = ("rankings", "charts", "timeseries.csv")
+        results.append({name: data for name, data in tree.items() if name.startswith(made)})
+    assert results[0] == results[1]
+    assert {"timeseries.csv", "rankings/t3.csv", "charts/density.svg"} <= set(results[0])
+    for command, sub, kind in (("rank", "reports", "report "), ("export-charts", "networks", "")):
+        path = older / sub / "window_1.json"
+        original = path.read_text()
+        path.write_text(json.dumps(dict(json.loads(original), schema_version=99)))
+        error = single_error(capsys, [command, "--out", str(older)])
+        assert error["message"] == f"{path}: unsupported {kind}schema version 99"
+        path.write_text(original)
+
+
 def corrupt(path):
     """Append byte 0xff, which never occurs in UTF-8 text."""
     path.write_bytes(path.read_bytes() + b"\xff")

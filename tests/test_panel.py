@@ -195,6 +195,19 @@ def test_panel_load_peak_below_four_times_its_returns(tmp_path):
     assert peak <= 4 * panel.returns.nbytes
 
 
+def test_panel_save_peak_below_its_returns(tmp_path):
+    panel = generate_panel(120, (2001, 1), (2004, 12), seed=5)
+    save_returns(panel, tmp_path / "warm.csv")  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        save_returns(panel, tmp_path / "panel.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel.returns.shape == (1045, 120)
+    assert peak <= panel.returns.nbytes
+
+
 def per_cell_oracle(text: str) -> ReturnPanel:
     """The loader one cell at a time: every cell stripped, matched against
     the ASCII decimal grammar, parsed and checked on its own, so each error

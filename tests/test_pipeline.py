@@ -19,7 +19,7 @@ from oracles import report_to_dict
 from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
 from risknet.charts import weight_distribution_stats
-from risknet.network import DirectedWeights, build_directed
+from risknet.network import DirectedWeights, RiskNetwork, build_directed
 from risknet.panel import load_returns, panel_from_rows
 from risknet.pipeline import analyze_panel, window_report, write_study
 from risknet.reports import (
@@ -39,6 +39,7 @@ from risknet.reports import (
     report_from_dict,
     timeseries_rows,
     write_rankings,
+    write_network,
     write_report,
     write_reports,
     write_timeseries,
@@ -527,7 +528,7 @@ def test_report_writer_bytes_match_json_dump(fields):
     with tempfile.TemporaryDirectory() as out:
         (path,) = write_reports([report], out)
         text = path.read_bytes().decode("utf-8")
-        assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+        assert text == json.dumps(report_to_dict(report), allow_nan=False) + "\n"
         assert report_from_dict(json.loads(text)) == report
         if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", report.label):
             with pytest.raises(NetworkFormatError, match="is not a month YYYY-MM"):
@@ -595,7 +596,21 @@ def test_report_writer_refuses_non_finite_floats(field, value, tmp_path):
         write_report(report, tmp_path / "report.json")
     assert not (tmp_path / "report.json").exists()  # nothing is written
     with pytest.raises(ValueError, match="not JSON compliant"):
-        json.dumps(report_to_dict(report), indent=2, allow_nan=False)
+        json.dumps(report_to_dict(report), allow_nan=False)
+
+
+def test_writers_never_run_the_pure_python_json_encoder(tmp_path, monkeypatch):
+    # an indent, or any option the C encoder lacks, would send every edge
+    # and vertex through the pure-Python encoder, many times slower
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python json encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    w = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.25], [1.0, 0.25, 0.0]])
+    write_network(RiskNetwork(1, "2008-03", ("A", "B", "C"), w), tmp_path / "net.json")
+    report = fake_report(1, "2008-03", ("A", "B", "C"), (math.inf, 0.5, 0.1), (1, None, None))
+    write_report(report, tmp_path / "report.json")
+    assert report_from_dict(json.loads((tmp_path / "report.json").read_text())) == report
 
 
 # ---------------------------------------------------------------- ranking
