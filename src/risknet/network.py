@@ -252,12 +252,10 @@ def symmetrize(directed: DirectedWeights) -> RiskNetwork:
     """Average the two directions of every pair into an undirected network.
 
     Zeros take part in the average: a pair with one live direction keeps
-    half that weight.
+    half that weight, and each direction must lie in [0, 1] on its own.
     """
     m = directed.matrix
-    if np.any(np.diagonal(m) != 0.0):
-        raise NetworkFormatError("directed matrix must have a zero diagonal")
-    if m.size and (np.nanmin(m) < 0.0 or np.nanmax(m) > 1.0 or not np.all(np.isfinite(m))):
+    if m.size and not (m.min() >= 0.0 and m.max() <= 1.0):
         raise NetworkFormatError("directed weights must lie in [0, 1]")
     return RiskNetwork(
         window_id=directed.window_id,

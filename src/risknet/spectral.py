@@ -225,13 +225,18 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
     matrix) is refused with ``NumericalError``: that resistance is too
     small to resolve.
 
-    Requires a connected network with at least three vertices.
+    Requires a connected network with at least three vertices. The one
+    search decides that too: the two or more leaves of any spanning tree
+    of a connected network cut nothing, while a network in pieces has at
+    most one such vertex, a lone isolated one beside a connected rest.
     """
     n = net.n
     if n < 3:
         raise ValueError(f"need at least three vertices, got {n}")
-    adjacency = net.adjacency
-    if _labels(adjacency).any():
+    labels = _labels(net.adjacency, removals=True)
+    # a cut leaves a survivor labelled above the first survivor: 1 without 0, else 0
+    cut = labels.max(axis=1) > (np.arange(n) == 0)
+    if np.count_nonzero(~cut) < 2:
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
@@ -243,16 +248,11 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
             f"window {net.label}: the resistance of a connected network of "
             f"order {n} is too small to resolve"
         )
-    labels = _labels(adjacency, removals=True)
-    # a cut leaves a survivor labelled above the first survivor: 1 without 0, else 0
-    cut = labels.max(axis=1) > (np.arange(n) == 0)
     reduced = np.full(n, math.inf)
     solved = np.flatnonzero(~cut & (np.arange(n) != ground))
-    reduced[solved] = _removal_kirchhoff(laplacian, net.weights, ground, solved)
+    reduced[solved] = _removal_kirchhoff(laplacian, ground, solved)
     if not cut[ground]:
-        reduced[ground] = _removal_kirchhoff(
-            laplacian, net.weights, second, np.array([ground])
-        )[0]
+        reduced[ground] = _removal_kirchhoff(laplacian, second, np.array([ground]))[0]
     unresolved = np.flatnonzero(np.isnan(reduced))
     if unresolved.size:
         raise NumericalError(
@@ -279,9 +279,7 @@ def _without(matrix: np.ndarray, vertex: int) -> np.ndarray:
     return matrix[np.ix_(keep, keep)]
 
 
-def _removal_kirchhoff(
-    laplacian: np.ndarray, weights: np.ndarray, ground: int, removed: np.ndarray
-) -> np.ndarray:
+def _removal_kirchhoff(laplacian: np.ndarray, ground: int, removed: np.ndarray) -> np.ndarray:
     """Kirchhoff index of the network without each vertex of ``removed``
     in turn (none of them ``ground`` or a cut vertex), NaN where it cannot
     be resolved; each removal is a copy of the matrix grounded at
@@ -289,7 +287,7 @@ def _removal_kirchhoff(
     grounded = _without(laplacian, ground)
     order = grounded.shape[0]  # the survivors per removal; the placeholder keeps it
     placeholder = float(grounded.diagonal().max())
-    to_ground = np.delete(weights[ground], ground)
+    to_ground = -np.delete(laplacian[ground], ground)
     position = removed - (removed > ground)
     buffer = np.empty((max(1, _STACK_BYTES // grounded.nbytes), order, order))
     kirchhoff = np.empty(removed.size)

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import datetime as dt
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -258,6 +259,26 @@ def test_one_sided_pair_keeps_half_weight():
     net = symmetrize(directed)
     assert net.weights[0, 1] == 0.4
     assert net.weights[1, 0] == 0.4
+
+
+@pytest.mark.parametrize(
+    "pair", [(-0.5, 1.0), (1.5, 0.0), (math.nan, 0.2), (math.inf, 0.2), (-math.inf, 0.2)]
+)
+def test_symmetrize_refuses_a_direction_outside_the_unit_interval(pair):
+    # the first two average into [0, 1]; each direction is checked on its own
+    m = np.zeros((3, 3))
+    m[0, 1], m[1, 0] = pair
+    directed = DirectedWeights(1, "2005-03", ("A", "B", "C"), m)
+    with pytest.raises(NetworkFormatError, match=r"^directed weights must lie in \[0, 1\]$"):
+        symmetrize(directed)
+
+
+def test_symmetrize_leaves_a_directed_self_weight_to_the_network_check():
+    m = np.zeros((3, 3))
+    m[1, 1] = 0.5
+    directed = DirectedWeights(1, "2005-03", ("A", "B", "C"), m)
+    with pytest.raises(NetworkFormatError, match="^self-weights must be zero$"):
+        symmetrize(directed)
 
 
 def test_network_validation_rejects_bad_matrices():

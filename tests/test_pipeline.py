@@ -244,6 +244,23 @@ def test_window_report_inverts_one_grounded_matrix_per_non_cut_removal_and_one_b
     assert orders == [6] * (1 + sum(math.isfinite(v) for v in report.werc))
 
 
+def test_werc_searches_components_once_and_window_report_twice(monkeypatch):
+    searches = []
+    real = spectral._labels
+
+    def counting(adjacency, removals=False):
+        searches.append(removals)
+        return real(adjacency, removals)
+
+    monkeypatch.setattr(spectral, "_labels", counting)
+    net = random_connected(np.random.default_rng(5), 7)
+    spectral.werc_all(net)
+    assert searches == [True]  # the removal search alone
+    searches.clear()
+    assert window_report(net).component_note is None
+    assert searches == [False, True]  # largest_component's, then werc_all's
+
+
 def pendant_triangle(eps=1e-12):
     """A unit triangle on 0, 1, 2 plus a pendant edge 2-3 of weight eps:
     connected however small eps is, with vertex 2 its one cut vertex."""

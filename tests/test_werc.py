@@ -24,10 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphgen import cut_vertices, from_weights, random_connected
+from graphgen import bfs_components, cut_vertices, from_weights, random_connected
 from oracles import effective_resistance_oracle, kirchhoff_index
 from risknet import spectral
-from risknet.errors import NumericalError
+from risknet.errors import DisconnectedNetworkError, NumericalError
 from risknet.spectral import (
     connected_components,
     spectrum,
@@ -261,15 +261,65 @@ def test_strongest_vertex_ties_ground_at_lowest_index(monkeypatch):
     grounds = []
     real = spectral._removal_kirchhoff
 
-    def recording(laplacian, weights, ground, removed):
+    def recording(laplacian, ground, removed):
         grounds.append((int(ground), removed.tolist()))
-        return real(laplacian, weights, ground, removed)
+        return real(laplacian, ground, removed)
 
     monkeypatch.setattr(spectral, "_removal_kirchhoff", recording)
     w = np.ones((5, 5)) - np.eye(5)  # every vertex equally strong
     removal = werc_all(from_weights(w))
     assert grounds == [(0, [1, 2, 3, 4]), (1, [0])]
     assert np.allclose(removal.impacts, removal.impacts[0])
+
+
+@st.composite
+def small_weights(draw) -> np.ndarray:
+    """Symmetric weights on 3..8 vertices over any pattern of pairs, with
+    up to two vertices then isolated and, at will, one pair cut off from
+    the rest, so networks in pieces come in every shape."""
+    n = draw(st.integers(3, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    live = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    values = draw(st.lists(st.floats(0.05, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    w = np.zeros((n, n))
+    for (i, j), on, value in zip(pairs, live, values):
+        if on:
+            w[i, j] = w[j, i] = value
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        w[v, :] = w[:, v] = 0.0
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        w[[i, j], :] = w[:, [i, j]] = 0.0
+        w[i, j] = w[j, i] = draw(st.floats(0.05, 1.0))
+    return w
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_weights())
+def test_werc_refuses_exactly_the_networks_in_pieces(w):
+    net = from_weights(w)
+    if len(bfs_components(w)) > 1:
+        with pytest.raises(DisconnectedNetworkError, match="needs a connected network"):
+            werc_all(net)
+        return
+    removal = werc_all(net)
+    cuts = cut_vertices(w)
+    assert np.flatnonzero(np.isinf(removal.impacts)).tolist() == sorted(cuts)
+    assert removal.surviving_order == tuple(cuts.get(v) for v in range(net.n))
+
+
+@pytest.mark.parametrize("clique, isolated", [(2, 0), (2, 2), (3, 0), (3, 3)])
+def test_clique_beside_an_isolated_vertex_is_refused(clique, isolated):
+    # the one disconnected shape where a removal, the isolated vertex's,
+    # leaves a connected rest
+    n = clique + 1
+    members = [v for v in range(n) if v != isolated]
+    w = np.zeros((n, n))
+    w[np.ix_(members, members)] = 0.5
+    np.fill_diagonal(w, 0.0)
+    assert set(range(n)) - set(cut_vertices(w)) == {isolated}
+    with pytest.raises(DisconnectedNetworkError, match="needs a connected network"):
+        werc_all(from_weights(w))
 
 
 def test_two_cliques_joined_below_resolution_raise_on_both_routes():
