@@ -41,5 +41,6 @@ class DisconnectedNetworkError(RiskNetError):
 
 
 class NumericalError(RiskNetError):
-    """The eigensolver or pseudo-inverse failed to converge, or a result
-    came out NaN."""
+    """The eigensolver failed or gave a negative eigenvalue beyond its
+    tolerance, a resistance was too small to resolve, or a report value
+    came out NaN or inconsistent."""

@@ -7,8 +7,9 @@ subject to a minimum-coverage rule, with quartiles. This module writes
 every output file but the charts, and holds the one writer of every
 output directory, which deletes what an earlier run left there. Both
 saved formats are written and read here: networks and reports share one
-writer, a single ``json.dumps`` call per file, and one exact-type checker,
-and a saved network is read as its edge list.
+writer, a single ``json.dumps`` call per file, and one exact-type checker
+of header fields and report columns; a saved network is read as its edge
+list, checked one edge at a time in file order.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import csv
 import json
 import logging
 import math
-import operator
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from types import NoneType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -71,9 +70,8 @@ class SubPeriod:
         if not self.label.strip():
             raise ConfigError("sub-period label must not be blank")
         if self.start > self.end:
-            raise ConfigError(
-                f"sub-period {self.label!r}: start {self.start} after end {self.end}"
-            )
+            start, end = ("{:04d}-{:02d}".format(*month) for month in (self.start, self.end))
+            raise ConfigError(f"sub-period {self.label!r}: start {start} after end {end}")
 
     def contains(self, label: str) -> bool:
         return self.start <= _parse_month(label) <= self.end
@@ -397,21 +395,15 @@ _KINDS = {
 }
 
 
-def _check_types(records: Sequence, columns: Sequence, types: set, message: str) -> None:
-    """Raise ``NetworkFormatError(message.format(record))`` for the first
-    record whose value in one of ``columns`` has a type outside ``types``;
-    the records are walked only when a column's set of types is wrong."""
-    if set().union(*(map(type, column) for column in columns)) <= types:
-        return
-    at = next(k for k, row in enumerate(zip(*columns)) if not set(map(type, row)) <= types)
-    raise NetworkFormatError(message.format(records[at]))
-
-
 def _checked(key: str, values: list, kind: str) -> tuple:
     """``values`` of ``key``, once each is of ``kind``, as a tuple, with a
     number read as a float; else the error ``<key> must be <kind>, got <the
-    first value that is not>``."""
-    _check_types(values, (values,), _KINDS[kind], f"{key} must be {kind}, got {{!r}}")
+    first value that is not>``. The values are walked again only when their
+    set of types is wrong."""
+    types = _KINDS[kind]
+    if not set(map(type, values)) <= types:
+        bad = next(value for value in values if type(value) not in types)
+        raise NetworkFormatError(f"{key} must be {kind}, got {bad!r}")
     return tuple(map(float, values) if kind.startswith("a number") else values)
 
 
@@ -466,9 +458,9 @@ def network_from_dict(payload: dict) -> SavedNetwork:
     integers, ``label`` a string and ``firms`` a list of strings, none
     twice. Each edge must be a list ``[i, j, weight]``: integers 0 <= i <
     j < n (a bool, 1.0 or "2" is refused, not truncated), a numeric weight
-    in (0, 1], read as a float, and no pair twice. Edges are checked a
-    column at a time; only when a check fails is the list walked again,
-    for the first bad entry, which the error names.
+    in (0, 1], read as a float, and no pair twice. Edges are checked one
+    at a time in file order, and the error names the first bad entry, by
+    the first rule it breaks.
     """
     try:
         version = _field(payload, "schema_version", "an integer")
@@ -486,31 +478,30 @@ def network_from_dict(payload: dict) -> SavedNetwork:
     if type(edges) is not list:
         raise NetworkFormatError(f"bad network payload: edges is a {type(edges).__name__}")
 
-    def first(bad) -> object:
-        return next(entry for entry in edges if bad(entry))
-
-    rows = cols = weights = ()
-    if edges:
-        if set(map(type, edges)) != {list} or set(map(len, edges)) != {3}:
-            entry = first(lambda e: type(e) is not list or len(e) != 3)
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    seen: set[int] = set()
+    for entry in edges:
+        if type(entry) is not list or len(entry) != 3:
             raise NetworkFormatError(f"bad edge entry {entry!r}: expected [i, j, weight]")
-        flat = tuple(chain.from_iterable(edges))
-        rows, cols, weights = flat[0::3], flat[1::3], flat[2::3]
-        _check_types(edges, (rows, cols), {int}, "edge indices must be integers: {!r}")
-        if not (min(rows) >= 0 and max(cols) < n and all(map(operator.lt, rows, cols))):
-            entry = first(lambda e: not 0 <= e[0] < e[1] < n)
+        i, j, weight = entry
+        if type(i) is not int or type(j) is not int:
+            raise NetworkFormatError(f"edge indices must be integers: {entry!r}")
+        if not 0 <= i < j < n:
             raise NetworkFormatError(f"edge indices out of order or range: {entry!r}")
-        _check_types(edges, (weights,), {int, float}, "bad edge entry {!r}: weight is not a number")
-        # min and max step over a NaN, which the sum keeps; max refuses an int the sum overflows on
-        if not (0.0 < min(weights) and max(weights) <= 1.0 and not math.isnan(sum(weights))):
-            entry = first(lambda e: not 0.0 < e[2] <= 1.0)
+        if type(weight) is not float and type(weight) is not int:
+            raise NetworkFormatError(f"bad edge entry {entry!r}: weight is not a number")
+        if not 0.0 < weight <= 1.0:  # NaN fails, and a long int compares exactly
             raise NetworkFormatError(f"edge weight outside (0, 1]: {entry!r}")
-        # 0 <= i < j < n, so i * n + j names the pair
-        if len(set(map(operator.add, map(n.__mul__, rows), cols))) < len(edges):
-            seen: set = set()
-            i, j = next(pair for pair in zip(rows, cols) if pair in seen or seen.add(pair))
+        key = i * n + j  # 0 <= i < j < n, so this names the pair
+        if key in seen:
             raise NetworkFormatError(f"duplicate edge ({i}, {j})")
-    return SavedNetwork(window_id, label, firms, rows, cols, tuple(map(float, weights)))
+        seen.add(key)
+        rows.append(i)
+        cols.append(j)
+        weights.append(float(weight))
+    return SavedNetwork(window_id, label, firms, tuple(rows), tuple(cols), tuple(weights))
 
 
 def report_from_dict(payload: dict) -> RobustnessReport:

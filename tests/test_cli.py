@@ -663,6 +663,15 @@ def test_copied_saved_file_is_refused(panel_csv, tmp_path, capsys, command, save
         (["rank"], "--out"),
         # like "periods =" in a config file, not a silent fallback to the defaults
         (["rank", "--out", "o", "--periods", ""], "no sub-periods given"),
+        (["rank", "--out", "o", "--periods", "=2005-01..2005-02"], "must not be blank"),
+        (["rank", "--out", "o", "--periods", "A=2005-03..2005-01"],
+         "start 2005-03 after end 2005-01"),
+        (["rank", "--out", "o", "--periods", "A=2005-01-2005-02"], "malformed period range"),
+        (["rank", "--out", "o", "--periods", "!!=2005-01..2005-02"], "no usable characters"),
+        (["rank", "--out", "o", "--periods", "All periods=2005-01..2005-02"],
+         "collide after slugging"),
+        (["analyze", "--input", "x.csv", "--out", "o", "--min-obs", "0"],
+         "min_obs must be positive"),
     ],
 )
 def test_usage_error_is_one_json_line(capsys, argv, named):

@@ -291,6 +291,23 @@ def test_network_validation_rejects_bad_matrices():
         RiskNetwork(1, "x", firms, np.array([[0.0, 1.5], [1.5, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RiskNetwork(1, "x", ("A", "B", "C"), np.zeros((2, 2))),
+         NetworkFormatError, "weight shape (2, 2) for 3 firms"),
+        (lambda: RiskNetwork(1, "x", ("A", "B"), np.array([[0.0, np.nan], [np.nan, 0.0]])),
+         NetworkFormatError, "non-finite weight"),
+        (lambda: DirectedWeights(1, "x", ("A", "B", "C"), np.zeros((2, 2))),
+         ValueError, "matrix shape (2, 2) for 3 firms"),
+    ],
+    ids=["network-shape", "network-nan", "directed-shape"],
+)
+def test_weight_constructors_refuse_a_wrong_shape_or_a_nan(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_density_and_vertex_stats():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 0.5
@@ -441,10 +458,13 @@ def test_edge_indices_must_be_integers_not_truncated():
         ([[0, 1, 0.5], [1, 2, 0.5], [1, 2, 0.25], [0, 1, 0.5]], r"duplicate edge \(1, 2\)"),
         (5, "bad network payload"),
         ({"0": [0, 1, 0.5]}, "bad network payload"),
-        # min and max step over a NaN after a valid weight: only the sum keeps it
+        # NaN compares false, so a NaN after a valid weight fails the range test
         ([[0, 1, 0.5], [1, 2, float("nan")]], r"weight outside \(0, 1\]: \[1, 2, nan\]"),
-        # refused by max before the sum turns it into a float, which overflows
+        # an int too large for a float is compared exactly, never converted
         ([[0, 1, 0.5], [1, 2, 10**400]], r"weight outside \(0, 1\]"),
+        # with several faults, the first bad entry in file order is named
+        ([[0, 1, 2.0], [1, 0, 0.5]], r"weight outside \(0, 1\]: \[0, 1, 2.0\]"),
+        ([[0, 1, 0.5], [0, 1, 0.5], [1, 1, 0.5]], r"duplicate edge \(0, 1\)"),
     ],
 )
 def test_edge_validation_names_the_first_bad_entry(edges, message):
@@ -461,12 +481,18 @@ def test_edge_validation_names_the_first_bad_entry(edges, message):
         ("n", "3", "n must be an integer, got '3'"),
         ("label", None, "label must be a string, got None"),
         ("firms", ["A", 2, None], "firms must be a list of strings, got 2"),
+        ("n", 4, "n=4 but 3 firms listed"),
     ],
 )
 def test_header_fields_must_have_their_json_type(key, value, message):
     # int() and str() would have read each of these
     with pytest.raises(NetworkFormatError, match=f"^{re.escape(message)}$"):
         network_from_dict(dict(BASE, edges=[], **{key: value}))
+
+
+def test_payload_without_edges_is_refused():
+    with pytest.raises(NetworkFormatError, match="^bad network payload: 'edges'$"):
+        network_from_dict(dict(BASE))
 
 
 def test_integer_weights_are_read_as_floats():

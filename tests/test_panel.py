@@ -122,6 +122,26 @@ def test_duplicate_firm_column_rejected():
         _load("date,A,A\n2001-01-02,0.01,0.02\n")
 
 
+DAY = (dt.date(2001, 1, 2),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ReturnPanel(DAY, ("A", "A"), np.zeros((1, 2)), np.ones((1, 2), bool)),
+         "duplicate firm identifiers"),
+        (lambda: panel_from_rows(DAY, ("A", "B"), [[0.01, np.inf]]),
+         "observed returns must be finite"),
+        (lambda: ReturnPanel(DAY, ("A", "B"), np.zeros((1, 2)), np.ones((2, 2), bool)),
+         "shape mismatch: 1 dates x 2 firms vs returns (1, 2) and mask (2, 2)"),
+    ],
+    ids=["duplicate-firm", "observed-inf", "mask-shape"],
+)
+def test_panel_constructors_refuse_a_bad_panel(build, message):
+    with pytest.raises(PanelFormatError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_empty_table_rejected():
     with pytest.raises(PanelFormatError, match="no data rows"):
         _load("date,A\n")
