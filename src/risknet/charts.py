@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import RiskNetError
 from .reports import RobustnessReport, SavedNetwork, SubPeriod, _write_files, timeseries_rows
 
-__all__ = ["line_chart", "band_chart", "emit_charts", "WeightBand", "weight_distribution_stats"]
+__all__ = ["emit_charts"]
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ _MARK = "#b03030"
 
 
 @dataclass(frozen=True)
-class WeightBand:
+class _WeightBand:
     """Positive-weight distribution summary for one group of networks."""
 
     group: str
@@ -43,7 +43,7 @@ class WeightBand:
     q95: float
 
 
-def weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[WeightBand, ...]:
+def _weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[_WeightBand, ...]:
     """Mean and 5%/95% band of positive weights, grouped per year: the
     exactly rounded mean of the year's weights (``math.fsum``) and numpy's
     default (``linear``) quantiles of them, bit for bit. The networks are
@@ -61,7 +61,7 @@ def weight_distribution_stats(networks: Iterable[SavedNetwork]) -> tuple[WeightB
             continue
         weights.sort()  # fsum's sum does not depend on the order of its input
         count, q05, q95 = len(weights), _quantile(weights, 0.05), _quantile(weights, 0.95)
-        bands.append(WeightBand(year, count, math.fsum(weights) / count, q05, q95))
+        bands.append(_WeightBand(year, count, math.fsum(weights) / count, q05, q95))
     return tuple(bands)
 
 
@@ -117,17 +117,18 @@ def _frame(title: str, to_y, lo: float, hi: float, body: list[str]) -> str:
     return "\n".join([*parts, *body, axis, "</svg>"]) + "\n"
 
 
-def line_chart(
+def _line_chart(
     points: Sequence[tuple[float, float]],
     *,
     title: str,
-    x_ticks: Sequence[tuple[float, str]] = (),
-    boundaries: Sequence[tuple[float, str]] = (),
+    x_ticks: Sequence[tuple[float, str]],
+    boundaries: Sequence[tuple[float, str]],
 ) -> str:
     """Single-series line chart with one marker per point.
 
     ``boundaries`` draws labelled dashed vertical lines (sub-period
-    starts). Axis ranges always cover the data's min and max.
+    starts); a label is free text, so its ``&``, ``<`` and ``>`` are
+    escaped. Axis ranges always cover the data's min and max.
     """
     if not points:
         raise RiskNetError("cannot chart an empty series")
@@ -147,8 +148,9 @@ def line_chart(
             f'<text x="{x}" y="{_coord(HEIGHT - MARGIN_B + 18)}" text-anchor="middle" '
             f'font-size="11" fill="{_AXIS}">{text}</text>'
         )
-    for x_value, text in boundaries:
+    for x_value, label in boundaries:
         x = _coord(to_x(x_value))
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<line x1="{x}" y1="{_coord(MARGIN_T)}" x2="{x}" '
             f'y2="{_coord(HEIGHT - MARGIN_B)}" stroke="{_MARK}" '
@@ -173,7 +175,7 @@ def line_chart(
     return _frame(title, to_y, y_lo, y_hi, parts)
 
 
-def band_chart(bands: Sequence[WeightBand], *, title: str) -> str:
+def _band_chart(bands: Sequence[_WeightBand], *, title: str) -> str:
     """Per-group box summary: 5%-95% band as a bar, mean as a marker."""
     if not bands:
         raise RiskNetError("cannot chart an empty band list")
@@ -244,14 +246,14 @@ def emit_charts(
     marks = _boundaries(rows, sub_periods)
     ticks = _window_ticks(rows)
     charts = {
-        name: line_chart(
+        name: _line_chart(
             [(row[0], row[column]) for row in rows], title=title, x_ticks=ticks, boundaries=marks
         )
         for name, column, title in _LINE_CHARTS
     }
-    bands = weight_distribution_stats(networks)
+    bands = _weight_distribution_stats(networks)
     if bands:
-        charts["weights_by_year.svg"] = band_chart(
+        charts["weights_by_year.svg"] = _band_chart(
             bands, title="Edge weights by year: mean and 5-95% band"
         )
     entries = [(name, _write_svg, svg) for name, svg in charts.items()]

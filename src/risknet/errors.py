@@ -21,8 +21,7 @@ class WindowError(RiskNetError):
 
 
 class EstimationError(RiskNetError):
-    """A tail estimator was called outside its domain (series too short,
-    non-finite values, bad tail level)."""
+    """The tail estimator was called with a tail level outside (0, 0.5)."""
 
 
 class ConfigError(RiskNetError):

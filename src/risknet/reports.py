@@ -31,9 +31,9 @@ if TYPE_CHECKING:
     from .network import RiskNetwork
 
 __all__ = [
-    "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
-    "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file", "rank_firms",
-    "period_slug", "read_reports", "timeseries_rows", "SavedNetwork", "read_networks",
+    "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport", "ALL_PERIODS",
+    "parse_periods", "load_config_file", "rank_firms", "read_reports", "timeseries_rows",
+    "SavedNetwork", "read_networks",
 ]
 
 log = logging.getLogger(__name__)
@@ -77,7 +77,7 @@ class SubPeriod:
         return self.start <= _parse_month(label) <= self.end
 
 
-DEFAULT_SUB_PERIODS: tuple[SubPeriod, ...] = (
+_DEFAULT_SUB_PERIODS: tuple[SubPeriod, ...] = (
     SubPeriod("Pre-crisis", (2003, 1), (2007, 12)),
     SubPeriod("Lehman", (2008, 1), (2009, 12)),
     SubPeriod("Sovereign", (2010, 1), (2012, 12)),
@@ -104,7 +104,7 @@ def parse_periods(text: str) -> tuple[SubPeriod, ...]:
     return tuple(periods)
 
 
-def period_slug(label: str) -> str:
+def _period_slug(label: str) -> str:
     """File-name form of a period label."""
     slug = re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
     if not slug:
@@ -119,7 +119,7 @@ class StudyConfig:
     alpha: float = 0.05
     min_obs: int = 15
     delimiter: str = ","
-    sub_periods: tuple[SubPeriod, ...] = DEFAULT_SUB_PERIODS
+    sub_periods: tuple[SubPeriod, ...] = _DEFAULT_SUB_PERIODS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
@@ -137,7 +137,7 @@ class StudyConfig:
                     f"sub-periods {left.label!r} and {right.label!r} overlap"
                 )
         labels = [p.label for p in self.sub_periods] + [ALL_PERIODS]
-        slugs = [period_slug(x) for x in labels]
+        slugs = [_period_slug(x) for x in labels]
         if len(set(slugs)) != len(slugs):
             raise ConfigError(f"period labels collide after slugging: {labels}")
 
@@ -701,7 +701,7 @@ def _write_ranking(table: RankingTable, path: Path) -> None:
 def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> list[Path]:
     """One ``rankings/<period>.csv`` per table; every other ``*.csv`` there
     is deleted."""
-    entries = [(f"{period_slug(table.period)}.csv", _write_ranking, table) for table in rankings]
+    entries = [(f"{_period_slug(table.period)}.csv", _write_ranking, table) for table in rankings]
     return _write_files(out_dir, "rankings", entries)
 
 
@@ -721,7 +721,7 @@ def _period_of(label: str, sub_periods: Sequence[SubPeriod]) -> str:
 
 
 def timeseries_rows(
-    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod] = ()
+    reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod]
 ) -> list[tuple]:
     """One row per window: id, label, density, normalized Kirchhoff, median
     clustering, and the sub-period the window falls in (empty when none)."""

@@ -46,7 +46,6 @@ from .network import RiskNetwork
 __all__ = [
     "LaplacianSpectrum",
     "RemovalImpacts",
-    "weighted_laplacian",
     "spectrum",
     "normalized_kirchhoff",
     "connected_components",
@@ -83,12 +82,6 @@ class LaplacianSpectrum:
     @property
     def connected(self) -> bool:
         return self.zero_multiplicity == 1
-
-
-def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
-    """L = S - W with S the diagonal of vertex strengths."""
-    w = net.weights
-    return np.diag(w.sum(axis=1)) - w
 
 
 def spectrum(laplacian: np.ndarray) -> LaplacianSpectrum:
@@ -240,7 +233,7 @@ def werc_all(net: RiskNetwork) -> RemovalImpacts:
         raise DisconnectedNetworkError(
             f"window {net.label}: removal impact needs a connected network"
         )
-    laplacian = weighted_laplacian(net)
+    laplacian = np.diag(net.strengths) - net.weights
     ground, second = np.argsort(-np.diagonal(laplacian), kind="stable")[:2]
     kirchhoff = float(_grounded_kirchhoff(_without(laplacian, ground)[None], n)[0])
     if math.isnan(kirchhoff):

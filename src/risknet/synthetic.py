@@ -27,7 +27,7 @@ import numpy as np
 
 from .panel import ReturnPanel, panel_from_rows
 
-__all__ = ["generate_panel", "month_span", "weekday_dates"]
+__all__ = ["generate_panel", "month_span"]
 
 N_SECTORS = 4
 STRESS_BOOST = 2.5  # common-factor loading multiplier inside the regime
@@ -48,7 +48,7 @@ def month_span(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, 
     return months
 
 
-def weekday_dates(start: tuple[int, int], end: tuple[int, int]) -> list[dt.date]:
+def _weekday_dates(start: tuple[int, int], end: tuple[int, int]) -> list[dt.date]:
     """Every Monday-Friday date in the inclusive month range."""
     last_y, last_m = end
     if last_m == 12:
@@ -82,7 +82,7 @@ def generate_panel(
     if n_firms < 3:
         raise ValueError("need at least three firms")
     rng = np.random.default_rng(seed)
-    dates = weekday_dates(start, end)
+    dates = _weekday_dates(start, end)
     t = len(dates)
 
     sector_of = np.arange(n_firms) % N_SECTORS

@@ -32,9 +32,10 @@ window at once; ``per_pair_oracle`` calls these scalar functions pair by
 pair to check it.
 
 Total effective resistance: ``kirchhoff_index`` sums the reciprocal
-eigenvalues of the weighted Laplacian, and ``effective_resistance_oracle``
-sums pairwise resistances from its pseudo-inverse. Neither shares a solver
-with ``spectral.werc_all`` or with the other.
+eigenvalues of the weighted Laplacian (``weighted_laplacian``), and
+``effective_resistance_oracle`` sums pairwise resistances from its
+pseudo-inverse. Neither shares a solver with ``spectral.werc_all`` or
+with the other.
 
 Saved reports: ``report_to_dict`` builds a report's payload one vertex at a
 time; ``json.dumps`` of it, plus a newline, is the report writer's byte
@@ -56,7 +57,7 @@ from risknet.errors import (
 )
 from risknet.network import Diagnostic, RiskNetwork
 from risknet.reports import RobustnessReport
-from risknet.spectral import LaplacianSpectrum, connected_components, weighted_laplacian
+from risknet.spectral import LaplacianSpectrum, connected_components
 
 
 class DegeneratePairError(RiskNetError):
@@ -256,6 +257,12 @@ def per_pair_oracle(window, alpha):
 
 
 # ---------------------------------------------------------- Kirchhoff index
+
+
+def weighted_laplacian(net: RiskNetwork) -> np.ndarray:
+    """L = S - W with S the diagonal of vertex strengths."""
+    w = net.weights
+    return np.diag(w.sum(axis=1)) - w
 
 
 def kirchhoff_index(spec: LaplacianSpectrum) -> float:

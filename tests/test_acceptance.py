@@ -27,6 +27,7 @@ from oracles import (
     impact,
     kirchhoff_index,
     risk_profile,
+    weighted_laplacian,
 )
 from risknet.panel import save_returns
 from risknet.pipeline import run_study, write_study
@@ -35,7 +36,6 @@ from risknet.spectral import (
     barrat_clustering,
     normalized_kirchhoff,
     spectrum,
-    weighted_laplacian,
     werc_all,
 )
 from risknet.synthetic import generate_panel, month_span

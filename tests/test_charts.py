@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from risknet.charts import WeightBand, band_chart, emit_charts, line_chart
+from risknet.charts import _band_chart, _line_chart, _WeightBand, emit_charts
 from risknet.errors import RiskNetError
 from risknet.pipeline import analyze_panel
 from risknet.reports import StudyConfig, SubPeriod
@@ -15,36 +15,36 @@ from risknet.synthetic import generate_panel
 
 
 def test_two_point_series_has_two_markers():
-    svg = line_chart([(1, 0.5), (2, 0.75)], title="t")
+    svg = _line_chart([(1, 0.5), (2, 0.75)], title="t", x_ticks=(), boundaries=())
     assert svg.count("<circle") == 2
     assert svg.startswith("<svg ")
     assert svg.rstrip().endswith("</svg>")
 
 
 def test_axis_labels_cover_data_min_and_max():
-    svg = line_chart([(1, 0.125), (2, 4.0), (3, 1.0)], title="t")
+    svg = _line_chart([(1, 0.125), (2, 4.0), (3, 1.0)], title="t", x_ticks=(), boundaries=())
     assert ">0.125<" in svg
     assert ">4<" in svg
 
 
 def test_identical_inputs_identical_bytes():
     points = [(i, math.sin(i / 3.0)) for i in range(40)]
-    a = line_chart(points, title="t", boundaries=[(10, "B")])
-    b = line_chart(points, title="t", boundaries=[(10, "B")])
+    a = _line_chart(points, title="t", x_ticks=(), boundaries=[(10, "B")])
+    b = _line_chart(points, title="t", x_ticks=(), boundaries=[(10, "B")])
     assert a == b
 
 
 def test_flat_series_still_renders():
-    svg = line_chart([(1, 0.5), (2, 0.5), (3, 0.5)], title="t")
+    svg = _line_chart([(1, 0.5), (2, 0.5), (3, 0.5)], title="t", x_ticks=(), boundaries=())
     assert svg.count("<circle") == 3
 
 
 def test_band_chart_one_bar_per_group():
     bands = (
-        WeightBand("2001", 10, 0.5, 0.2, 0.8),
-        WeightBand("2002", 10, 0.6, 0.3, 0.9),
+        _WeightBand("2001", 10, 0.5, 0.2, 0.8),
+        _WeightBand("2002", 10, 0.6, 0.3, 0.9),
     )
-    svg = band_chart(bands, title="w")
+    svg = _band_chart(bands, title="w")
     assert svg.count("<rect") == 3  # background + 2 bars
     assert ">2001<" in svg and ">2002<" in svg
 
@@ -61,17 +61,19 @@ PINNED = {
 
 def pinned_charts() -> dict[str, str]:
     return {
-        "varied": line_chart(
+        "varied": _line_chart(
             [(1, 0.125), (2, -0.5), (3, 4.0), (5, 1.0 / 3.0), (8, 2.5)],
             title="Varied",
             x_ticks=[(1, "2001-01"), (3, "2001-03"), (8, "2001-08")],
             boundaries=[(2, "Early"), (5, "Late")],
         ),
-        "flat": line_chart([(1, 0.5), (2, 0.5), (3, 0.5)], title="Flat"),
-        "bands": band_chart(
+        "flat": _line_chart(
+            [(1, 0.5), (2, 0.5), (3, 0.5)], title="Flat", x_ticks=(), boundaries=()
+        ),
+        "bands": _band_chart(
             (
-                WeightBand("2001", 12, 0.5, 0.2, 0.8),
-                WeightBand("2002", 7, 0.0625, 0.01, 0.3),
+                _WeightBand("2001", 12, 0.5, 0.2, 0.8),
+                _WeightBand("2002", 7, 0.0625, 0.01, 0.3),
             ),
             title="Bands",
         ),
@@ -88,9 +90,9 @@ def test_chart_bytes_are_pinned():
 
 def test_empty_series_refused():
     with pytest.raises(RiskNetError, match="empty series"):
-        line_chart([], title="t")
+        _line_chart([], title="t", x_ticks=(), boundaries=())
     with pytest.raises(RiskNetError, match="empty band list"):
-        band_chart([], title="t")
+        _band_chart([], title="t")
 
 
 def test_emit_charts_writes_stable_files(tmp_path):

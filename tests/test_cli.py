@@ -9,10 +9,12 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import weakref
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,30 @@ def test_rerun_replaces_the_tables_and_charts(panel_csv, tmp_path):
     assert sorted(p.name for p in (out / "charts").iterdir()) == [
         "density.svg", "median_clustering.svg", "normalized_kirchhoff.svg",
     ]
+
+
+@pytest.mark.parametrize("command", ["analyze", "export-charts"])
+def test_period_label_with_markup_characters_keeps_charts_well_formed(
+    panel_csv, tmp_path, command
+):
+    # a period label is free text: its "&", "<" and ">" are escaped in the
+    # boundary marks, so every chart parses and reads the label back
+    out = tmp_path / "out"
+    periods = ["--periods", "R&D<1>=2007-01..2007-02;Q2=2007-03..2007-04", "--out", str(out)]
+    assert main(["analyze", "--input", str(panel_csv), "--charts", *periods]) == 0
+    if command == "export-charts":
+        shutil.rmtree(out / "charts")
+        assert main(["export-charts", *periods]) == 0
+    marks = {}
+    for path in sorted((out / "charts").iterdir()):
+        texts = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        marks[path.name] = [text.text for text in texts if text.get("font-size") == "10"]
+    assert marks == {
+        "density.svg": ["R&D<1>", "Q2"],
+        "median_clustering.svg": ["R&D<1>", "Q2"],
+        "normalized_kirchhoff.svg": ["R&D<1>", "Q2"],
+        "weights_by_year.svg": [],
+    }
 
 
 def test_superscript_window_file_is_not_a_window(panel_csv, tmp_path):
@@ -900,6 +926,38 @@ def test_command_defaults_to_one_blas_thread(preset):
     assert setting == (preset or "1")
     if preset is None and threads != "None":
         assert threads == "1"  # no BLAS worker thread in the command's process
+
+
+_STUDY_PROBE = """
+import sys
+from risknet.cli import main
+print(main(["analyze", "--charts", "--input", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
+)
+def test_networks_and_charts_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Edge estimation uses no BLAS kernel whose rounding varies by CPU (its
+    one product counts days, exactly), so ``networks/`` and ``charts/`` keep
+    their bytes under OpenBLAS's Prescott kernel, which every x86-64 CPU
+    runs. The reports, rankings and time series can move in their last
+    digits, and are not compared."""
+    panel = tmp_path / "returns.csv"
+    save_returns(generate_panel(12, (2007, 1), (2007, 4), seed=3, n_fragile=4), panel)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    trees = []
+    for kernel_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"}):
+        out = tmp_path / f"out{len(trees)}"
+        assert run_fresh(_STUDY_PROBE, str(panel), str(out), env=kernel_env)[-1] == "0"
+        trees.append({
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for directory in ("networks", "charts")
+            for path in sorted((out / directory).iterdir())
+        })
+    assert len(trees[0]) == 8  # four networks and four charts
+    assert trees[0] == trees[1]
 
 
 _IMPORT_PROBE = """

@@ -15,14 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import bfs_components, cut_vertices, from_weights
-from oracles import kirchhoff_index
+from oracles import kirchhoff_index, weighted_laplacian
 from risknet.errors import NumericalError
 from risknet.pipeline import window_report
 from risknet.spectral import (
     LaplacianSpectrum,
     connected_components,
     spectrum,
-    weighted_laplacian,
     werc_all,
 )
 

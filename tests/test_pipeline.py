@@ -18,7 +18,7 @@ from graphgen import from_weights, random_connected
 from oracles import report_to_dict
 from risknet import pipeline, spectral
 from risknet.errors import ConfigError, NetworkFormatError, NumericalError, WindowError
-from risknet.charts import weight_distribution_stats
+from risknet.charts import _weight_distribution_stats
 from risknet.network import DirectedWeights, RiskNetwork, build_directed
 from risknet.panel import load_returns, panel_from_rows
 from risknet.pipeline import analyze_panel, window_report, write_study
@@ -29,10 +29,10 @@ from risknet.reports import (
     SavedNetwork,
     StudyConfig,
     SubPeriod,
+    _period_slug,
     config_from_sources,
     load_config_file,
     parse_periods,
-    period_slug,
     rank_firms,
     read_networks,
     read_reports,
@@ -44,7 +44,7 @@ from risknet.reports import (
     write_reports,
     write_timeseries,
 )
-from risknet.synthetic import generate_panel, weekday_dates
+from risknet.synthetic import _weekday_dates, generate_panel
 from risknet.windows import window_panel
 
 
@@ -90,7 +90,7 @@ def test_period_parsing_and_slug():
     periods = parse_periods("Pre=2003-01..2007-12; Crash=2008-01..2009-12")
     assert periods[0] == SubPeriod("Pre", (2003, 1), (2007, 12))
     assert periods[1].label == "Crash"
-    assert period_slug("All periods") == "all-periods"
+    assert _period_slug("All periods") == "all-periods"
     with pytest.raises(ConfigError, match="month out of range"):
         parse_periods("X=2003-13..2004-01")
     # saved labels are ASCII YYYY-MM, so digits of other scripts make no month
@@ -405,8 +405,8 @@ def test_unresolvable_pendant_raises_and_window_skipped(monkeypatch, tmp_path):
 def test_short_month_gives_zero_network_and_is_skipped():
     # a 20-day January and a 19-day February: at alpha 0.05 a firm needs
     # ceil(1 / 0.05) = 20 observed days, so February cannot be estimated
-    dates = weekday_dates((2005, 1), (2005, 1))[:20]
-    dates += weekday_dates((2005, 2), (2005, 2))[:19]
+    dates = _weekday_dates((2005, 1), (2005, 1))[:20]
+    dates += _weekday_dates((2005, 2), (2005, 2))[:19]
     firms = [f"F{j}" for j in range(6)]
     rng = np.random.default_rng(5)
     common = rng.standard_t(df=4, size=(len(dates), 1))
@@ -558,7 +558,7 @@ def test_report_writer_bytes_match_json_dump(fields):
 @given(report_fields(faulty=False).map(lambda fields: RobustnessReport(**fields)))
 def test_timeseries_median_is_numpys(report):
     # the reports module takes the median without numpy, to the same float
-    (row,) = timeseries_rows([report])
+    (row,) = timeseries_rows([report], ())
     with np.errstate(over="ignore"):
         assert row[4] == float(np.median(report.clustering))
 
@@ -594,7 +594,7 @@ def yearly_networks(draw) -> list[SavedNetwork]:
 @given(yearly_networks())
 def test_weight_band_floats_are_numpys(networks):
     # the charts module takes numpy's quantiles without numpy, and the exactly rounded mean
-    bands = weight_distribution_stats(networks)
+    bands = _weight_distribution_stats(networks)
     assert [b.group for b in bands] == sorted({net.label[:4] for net in networks})
     for band in bands:
         year = [net.weights for net in networks if net.label.startswith(band.group)]
@@ -769,7 +769,7 @@ def test_weight_stats_constant_and_singleton():
     iu = np.triu_indices(4, k=1)
     w[iu] = 0.5
     net = from_weights(w + w.T, label="2003-05")
-    (band,) = weight_distribution_stats([net.saved()])
+    (band,) = _weight_distribution_stats([net.saved()])
     assert band.group == "2003"
     assert band.mean == 0.5
     assert band.q05 == 0.5 and band.q95 == 0.5
@@ -783,7 +783,7 @@ def test_weight_stats_uniform_monte_carlo():
         n = 40
         upper = np.triu(rng.uniform(size=(n, n)), k=1)
         nets.append(from_weights(upper + upper.T, label=f"2004-{i + 1:02d}").saved())
-    (band,) = weight_distribution_stats(nets)
+    (band,) = _weight_distribution_stats(nets)
     assert band.mean == pytest.approx(0.5, abs=0.02)
     assert band.q05 == pytest.approx(0.05, abs=0.02)
     assert band.q95 == pytest.approx(0.95, abs=0.02)
@@ -796,7 +796,7 @@ def test_weight_stats_empty_group_omitted(caplog):
         label="2002-01",
     )
     with caplog.at_level("WARNING"):
-        bands = weight_distribution_stats([empty.saved(), full.saved()])
+        bands = _weight_distribution_stats([empty.saved(), full.saved()])
     assert [b.group for b in bands] == ["2002"]
     assert "2001" in caplog.text
 
@@ -806,10 +806,10 @@ def test_weight_stats_read_networks_once_in_window_order():
         from_weights(np.full((3, 3), 0.25) * (1 - np.eye(3)), label=label).saved()
         for label in ("2004-11", "2004-12", "2005-01")
     ]
-    assert weight_distribution_stats(iter(nets)) == weight_distribution_stats(nets)
+    assert _weight_distribution_stats(iter(nets)) == _weight_distribution_stats(nets)
     # a year that comes back would split into two bands
     with pytest.raises(ValueError, match="networks of 2004 come after those of 2005"):
-        weight_distribution_stats([nets[0], nets[2], nets[1]])
+        _weight_distribution_stats([nets[0], nets[2], nets[1]])
 
 
 def test_timeseries_rows_and_export(tmp_path):

@@ -1,6 +1,7 @@
-"""The public surface: every exported name resolves, and the top-level set
-and each submodule's ``__all__`` are pinned so that any growth shows up in
-review."""
+"""The public surface: every exported name resolves, the top-level set and
+each submodule's ``__all__`` are pinned so that any growth shows up in
+review, and ``test_every_public_name_has_a_caller`` keeps each exported
+name to one that something outside its module uses."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -33,9 +35,7 @@ TOP_LEVEL = {
 
 # submodule -> its __all__; an empty set for a module without one
 SUBMODULE_NAMES = {
-    "charts": {
-        "line_chart", "band_chart", "emit_charts", "WeightBand", "weight_distribution_stats",
-    },
+    "charts": {"emit_charts"},
     "cli": set(),
     "errors": set(),
     "network": {
@@ -49,16 +49,15 @@ SUBMODULE_NAMES = {
     },
     "reports": {
         "SubPeriod", "StudyConfig", "RankingRow", "RankingTable", "RobustnessReport",
-        "DEFAULT_SUB_PERIODS", "ALL_PERIODS", "parse_periods", "load_config_file",
-        "rank_firms", "period_slug", "read_reports", "timeseries_rows", "SavedNetwork",
-        "read_networks",
+        "ALL_PERIODS", "parse_periods", "load_config_file", "rank_firms", "read_reports",
+        "timeseries_rows", "SavedNetwork", "read_networks",
     },
     "spectral": {
-        "LaplacianSpectrum", "RemovalImpacts", "weighted_laplacian", "spectrum",
-        "normalized_kirchhoff", "connected_components", "largest_component", "werc_all",
-        "barrat_clustering", "barrat_clustering_all",
+        "LaplacianSpectrum", "RemovalImpacts", "spectrum", "normalized_kirchhoff",
+        "connected_components", "largest_component", "werc_all", "barrat_clustering",
+        "barrat_clustering_all",
     },
-    "synthetic": {"generate_panel", "month_span", "weekday_dates"},
+    "synthetic": {"generate_panel", "month_span"},
     "windows": {"WindowSlice", "window_panel"},
 }
 
@@ -220,3 +219,65 @@ def test_every_private_name_has_a_use():
             unused.append(f"{stem}.{name}")
     assert len(bindings) > 50
     assert unused == []
+
+
+def _taken_from(stem: str, trees: dict[str, ast.Module]):
+    """Each name that another submodule imports from ``risknet.<stem>`` or
+    reads as ``<stem>.<name>``."""
+    for other, tree in trees.items():
+        if other == stem:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == stem:
+                yield from (alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id == stem):
+                yield node.attr
+
+
+def _result_types(tree: ast.Module, exported: set[str]):
+    """Each name read in the return annotation of an exported function or in
+    a field annotation of an exported class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and stmt.name in exported:
+            annotations = [item.annotation for item in stmt.body if isinstance(item, ast.AnnAssign)]
+        elif isinstance(stmt, ast.FunctionDef) and stmt.name in exported and stmt.returns:
+            annotations = [stmt.returns]
+        else:
+            continue
+        for annotation in annotations:
+            yield from (node.id for node in ast.walk(annotation) if isinstance(node, ast.Name))
+
+
+def _readme_code(text: str) -> str:
+    """The README's fenced ``python`` blocks and the backtick spans of its
+    text outside fenced blocks."""
+    fenced = re.compile(r"^```(\w*)\n(.*?)^```", re.M | re.S)
+    blocks = [body for language, body in fenced.findall(text) if language == "python"]
+    return "\n".join(blocks + re.findall(r"`([^`\n]+)`", fenced.sub("", text)))
+
+
+def test_every_public_name_has_a_caller():
+    # the public twin of test_every_private_name_has_a_use: a name in a
+    # submodule's __all__ is imported or read off its module by another
+    # submodule (the top-level exports are pinned on their own), named in
+    # perfbench/ or in the README's code, or the result or field type of a
+    # name so exported; one that is none of these goes private or goes
+    package, root = Path(risknet.__file__).parent, Path(__file__).parents[1]
+    trees = {
+        name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for name in SUBMODULES
+    }
+    outside = "\n".join(
+        [path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py"))]
+        + [_readme_code((root / "README.md").read_text(encoding="utf-8"))]
+    )
+    uncalled = []
+    for stem, tree in trees.items():
+        exported = set(getattr(importlib.import_module(f"risknet.{stem}"), "__all__", ()))
+        used = set(_taken_from(stem, trees)) | set(_result_types(tree, exported))
+        uncalled += [
+            f"{stem}.{name}" for name in sorted(exported - used)
+            if not re.search(rf"\b{name}\b", outside)
+        ]
+    assert uncalled == []

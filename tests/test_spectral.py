@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
-from oracles import effective_resistance_oracle, kirchhoff_index
+from oracles import effective_resistance_oracle, kirchhoff_index, weighted_laplacian
 from risknet.errors import DisconnectedNetworkError
 from risknet.network import build_directed, symmetrize
 from risknet.spectral import (
@@ -21,7 +21,6 @@ from risknet.spectral import (
     largest_component,
     normalized_kirchhoff,
     spectrum,
-    weighted_laplacian,
     werc_all,
 )
 from risknet.synthetic import generate_panel

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from risknet.synthetic import generate_panel, month_span, weekday_dates
+from risknet.synthetic import _weekday_dates, generate_panel, month_span
 
 
 def test_month_span_and_weekdays():
@@ -15,7 +15,7 @@ def test_month_span_and_weekdays():
         (2002, 1),
         (2002, 2),
     ]
-    days = weekday_dates((2001, 2), (2001, 2))
+    days = _weekday_dates((2001, 2), (2001, 2))
     assert len(days) == 20  # February 2001 has exactly 20 weekdays
     assert all(d.weekday() < 5 for d in days)
     with pytest.raises(ValueError, match="after end"):

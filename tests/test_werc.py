@@ -25,15 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphgen import bfs_components, cut_vertices, from_weights, random_connected
-from oracles import effective_resistance_oracle, kirchhoff_index
+from oracles import effective_resistance_oracle, kirchhoff_index, weighted_laplacian
 from risknet import spectral
 from risknet.errors import DisconnectedNetworkError, NumericalError
-from risknet.spectral import (
-    connected_components,
-    spectrum,
-    weighted_laplacian,
-    werc_all,
-)
+from risknet.spectral import connected_components, spectrum, werc_all
 
 EPS = float(np.finfo(float).eps)
 
