@@ -151,8 +151,8 @@ def build_directed(window: WindowSlice, alpha: float) -> DirectedWeights:
         raise WindowError(
             f"window {window.label}: fewer than two eligible firms"
         )
-    if not 0.0 < alpha < 0.5:
-        raise EstimationError(f"tail level must lie in (0, 0.5), got {alpha}")
+    if not (0.0 < alpha < 0.5 and math.isfinite(1.0 / alpha)):
+        raise EstimationError(f"tail level must lie in (0, 0.5) with 1/alpha finite, got {alpha}")
     firms = window.firms
     # C order whatever the window's layout: numpy sums a column over days
     # in an order that depends on the layout, and the last bit with it

@@ -179,13 +179,12 @@ def save_returns(panel: ReturnPanel, path: str | Path) -> None:
     """Write a panel in the comma-separated format: values by ``repr``, so a
     load/save cycle is bit-exact, and masked entries as empty cells."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("date",) + panel.firms)
+        csv.writer(handle, lineterminator="\n").writerow(("date",) + panel.firms)
+        # a row at a time (whole-panel lists hold a float object per cell); no cell needs
+        # quoting, and observed returns are finite, so "nan" marks just the masked cells
         for date, values, seen in zip(panel.dates, panel.returns, panel.mask):
-            # a row at a time: lists of the whole panel would hold a Python float per cell
-            cells = [repr(value) if observed else ""
-                     for value, observed in zip(values.tolist(), seen.tolist())]
-            writer.writerow([date.isoformat(), *cells])
+            cells = map(repr, np.where(seen, values, math.nan).tolist())
+            handle.write(",".join([date.isoformat(), *cells]).replace("nan", "") + "\n")
 
 
 def panel_from_rows(

@@ -69,6 +69,11 @@ class SubPeriod:
     def __post_init__(self) -> None:
         if not self.label.strip():
             raise ConfigError("sub-period label must not be blank")
+        # XML cannot hold a C0 control even escaped, nor UTF-8 a lone surrogate
+        if re.search("[\x00-\x1f\ud800-\udfff]", self.label):
+            raise ConfigError(
+                f"sub-period label {self.label!r} holds a control or surrogate character"
+            )
         if self.start > self.end:
             start, end = ("{:04d}-{:02d}".format(*month) for month in (self.start, self.end))
             raise ConfigError(f"sub-period {self.label!r}: start {start} after end {end}")
@@ -122,8 +127,8 @@ class StudyConfig:
     sub_periods: tuple[SubPeriod, ...] = _DEFAULT_SUB_PERIODS
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 0.5:
-            raise ConfigError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        if not (0.0 < self.alpha < 0.5 and math.isfinite(1.0 / self.alpha)):
+            raise ConfigError(f"alpha must lie in (0, 0.5) with 1/alpha finite, got {self.alpha}")
         if self.min_obs < 1:
             raise ConfigError(f"min_obs must be positive, got {self.min_obs}")
         if len(self.delimiter) != 1:

@@ -40,10 +40,14 @@ with the other.
 Saved reports: ``report_to_dict`` builds a report's payload one vertex at a
 time; ``json.dumps`` of it, plus a newline, is the report writer's byte
 format.
+
+Saved panels: ``csv_save_returns`` writes every row through ``csv.writer``,
+one cell at a time, for ``panel.save_returns`` to match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -56,6 +60,7 @@ from risknet.errors import (
     RiskNetError,
 )
 from risknet.network import Diagnostic, RiskNetwork
+from risknet.panel import ReturnPanel
 from risknet.reports import RobustnessReport
 from risknet.spectral import LaplacianSpectrum, connected_components
 
@@ -348,3 +353,18 @@ def report_to_dict(report: RobustnessReport) -> dict:
             )
         ],
     }
+
+
+# -------------------------------------------------------------- saved panels
+
+
+def csv_save_returns(panel: ReturnPanel, path) -> None:
+    """The panel file through ``csv.writer``: values by ``repr``, masked
+    entries as empty cells, whatever the return behind the mask."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("date",) + panel.firms)
+        for date, values, seen in zip(panel.dates, panel.returns, panel.mask):
+            cells = [repr(value) if observed else ""
+                     for value, observed in zip(values.tolist(), seen.tolist())]
+            writer.writerow([date.isoformat(), *cells])

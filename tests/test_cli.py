@@ -698,12 +698,57 @@ def test_copied_saved_file_is_refused(panel_csv, tmp_path, capsys, command, save
          "collide after slugging"),
         (["analyze", "--input", "x.csv", "--out", "o", "--min-obs", "0"],
          "min_obs must be positive"),
+        # inside (0, 0.5), but 1/alpha overflows to inf: ceil(1/alpha) raised OverflowError
+        (["analyze", "--input", "x.csv", "--out", "o", "--alpha", "5e-324"],
+         "with 1/alpha finite, got 5e-324"),
+        (["build", "--input", "x.csv", "--out", "o", "--alpha", "5.5e-309"],
+         "with 1/alpha finite, got 5.5e-309"),
     ],
 )
 def test_usage_error_is_one_json_line(capsys, argv, named):
     error = single_error(capsys, argv)
     assert error["error"] == "ConfigError"
     assert named in error["message"]
+
+
+def test_tiny_alpha_is_still_a_tail_level(panel_csv, tmp_path):
+    # 1/alpha is finite: no firm has the tail's days, and every weight is 0
+    out = tmp_path / "out"
+    assert main(["build", "--input", str(panel_csv), "--out", str(out), "--alpha", "1e-300"]) == 0
+    assert len(list((out / "networks").glob("window_*.json"))) == 4
+
+
+@pytest.mark.parametrize(
+    "periods, shown",
+    [
+        # XML cannot hold a C0 control even escaped: density.svg did not parse
+        pytest.param("A\x01B=2007-01..2007-02;Q=2007-03..2007-04", r"'A\x01B'", id="control"),
+        # a byte that is not UTF-8 reaches Python as a lone surrogate, which
+        # timeseries.csv could not encode halfway through the tree
+        pytest.param(b"A\xff=2007-01..2007-01;B=2007-02..2007-02".decode("utf-8", "surrogateescape"),
+                     r"'A\udcff'", id="not-utf8"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_unwritable_period_label_is_refused_before_any_write(
+    panel_csv, tmp_path, capsys, command, periods, shown
+):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--periods", periods]
+    if command == "rank":
+        assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(out)]) == 0
+        before = tree_bytes(out)
+    else:
+        argv += ["--input", str(panel_csv), "--charts"]
+    error = single_error(capsys, argv)
+    assert error == {
+        "error": "ConfigError",
+        "message": f"sub-period label {shown} holds a control or surrogate character",
+    }
+    if command == "rank":
+        assert tree_bytes(out) == before
+    else:
+        assert not out.exists()
 
 
 def test_help_still_exits_zero(capsys):

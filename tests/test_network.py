@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import per_pair_oracle
 from risknet import network
-from risknet.errors import NetworkFormatError, WindowError
+from risknet.errors import EstimationError, NetworkFormatError, WindowError
 from risknet.network import (
     DirectedWeights,
     RiskNetwork,
@@ -230,6 +230,14 @@ def test_too_short_window_yields_all_zero_with_firm_diagnostics():
     built = build_directed(window, 0.05)  # needs 20 days at this tail level
     assert not built.matrix.any()
     assert sum(d.kind == "inestimable_firm" for d in built.diagnostics) == 3
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 5.5e-309])
+def test_tail_level_whose_reciprocal_overflows_is_refused(alpha):
+    # ceil(1 / alpha) raised OverflowError: 1 / alpha is inf
+    window = month_slice(np.random.default_rng(3).normal(size=(21, 3)))
+    with pytest.raises(EstimationError, match=r"with 1/alpha finite, got "):
+        build_directed(window, alpha)
 
 
 def test_degenerate_window_refused():

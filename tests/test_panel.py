@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import re
 import tempfile
 import tracemalloc
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import csv_save_returns
 from risknet.errors import PanelFormatError
 from risknet.panel import ReturnPanel, load_returns, panel_from_rows, save_returns
 from risknet.synthetic import generate_panel
@@ -367,3 +369,50 @@ def test_loader_matches_the_per_cell_oracle(text):
     assert panel.dates == want.dates and panel.firms == want.firms
     assert panel.returns.tobytes() == want.returns.tobytes()
     assert np.array_equal(panel.mask, want.mask)
+
+
+# both sides of repr's switch to exponent form (below 1e-4, from 1e16), signed zeros, subnormals
+EDGE_RETURNS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-4, 9.99e-05, -1e-05,
+                                1e16, -1e16, 9999999999999998.0, -0.1])
+RETURNS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    EDGE_RETURNS,
+    st.floats(-1e-307, 1e-307),
+)
+# names the csv module quotes, and names that load back stripped
+FIRM_NAMES = st.text(st.sampled_from('ab,"\u00e9\u0416 '), min_size=1, max_size=4).filter(str.strip)
+
+
+@st.composite
+def saved_panels(draw) -> ReturnPanel:
+    """0-8 firms over 1-30 days; none, some or all cells masked, and
+    behind a mask either NaN or any finite return."""
+    t, n = draw(st.integers(1, 30)), draw(st.integers(0, 8))
+    firms = draw(st.lists(FIRM_NAMES, min_size=n, max_size=n, unique_by=str.strip))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=t, max_size=t))
+    dates = [dt.date(2001, 1, 1) + dt.timedelta(days=sum(gaps[:k])) for k in range(t)]
+    masked = draw(st.sampled_from(["none", "some", "all"]))
+    seen = [masked == "none" or (masked == "some" and draw(st.booleans())) for _ in range(t * n)]
+    hidden = st.one_of(st.just(math.nan), RETURNS)
+    values = [draw(RETURNS if observed else hidden) for observed in seen]
+    return ReturnPanel(
+        tuple(dates), tuple(firms),
+        np.array(values, dtype=float).reshape(t, n), np.array(seen, dtype=bool).reshape(t, n),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(saved_panels())
+def test_writer_matches_the_csv_writer_and_loads_back(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "panel.csv", Path(tmp) / "reference.csv"
+        save_returns(panel, path)
+        csv_save_returns(panel, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        if not panel.n_firms:  # the loader needs a firm column
+            return
+        again = load_returns(path)
+    assert again.dates == panel.dates
+    assert again.firms == tuple(name.strip() for name in panel.firms)
+    assert np.array_equal(again.mask, panel.mask)
+    assert again.returns[again.mask].tobytes() == panel.returns[panel.mask].tobytes()
