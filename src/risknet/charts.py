@@ -93,6 +93,23 @@ def _scale(lo: float, hi: float, out_lo: float, out_hi: float):
     return lambda v: out_lo + (v - lo) * rate, lo, hi
 
 
+def _line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str = "1", more: str = "") -> str:
+    """A line element between formatted coordinates; ``more`` holds any
+    further attributes, each after a space."""
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"{more}/>'
+    )
+
+
+def _text(x: str, y: str, body: str, size: str, fill: str, more: str = "") -> str:
+    """A text element at formatted coordinates; ``more`` holds attributes,
+    each after a space, that come before the font size. Every chart text is
+    written here, so its ``&``, ``<`` and ``>`` are always escaped."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{x}" y="{y}"{more} font-size="{size}" fill="{fill}">{body}</text>'
+
+
 def _frame(title: str, to_y, lo: float, hi: float, body: list[str]) -> str:
     """A whole chart: background, title, y grid and labels at five levels
     from ``lo`` to ``hi``, then ``body``, the x-axis line and the close."""
@@ -101,20 +118,18 @@ def _frame(title: str, to_y, lo: float, hi: float, body: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{_coord(WIDTH / 2)}" y="22" text-anchor="middle" '
-        f'font-size="15" fill="{_AXIS}">{title}</text>',
+        _text(_coord(WIDTH / 2), "22", title, "15", _AXIS, ' text-anchor="middle"'),
     ]
     for i in range(5):
         value = lo + (hi - lo) * i / 4
         y = _coord(to_y(value))
         parts += [
-            f'<line x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" stroke="{_GRID}" stroke-width="1"/>',
-            f'<text x="{_coord(MARGIN_L - 6)}" y="{y}" text-anchor="end" '
-            f'dominant-baseline="middle" font-size="11" fill="{_AXIS}">{_fmt(value)}</text>',
+            _line(x0, y, x1, y, _GRID),
+            _text(_coord(MARGIN_L - 6), y, _fmt(value), "11", _AXIS,
+                  ' text-anchor="end" dominant-baseline="middle"'),
         ]
     base = _coord(HEIGHT - MARGIN_B)
-    axis = f'<line x1="{x0}" y1="{base}" x2="{x1}" y2="{base}" stroke="{_AXIS}" stroke-width="1"/>'
-    return "\n".join([*parts, *body, axis, "</svg>"]) + "\n"
+    return "\n".join([*parts, *body, _line(x0, base, x1, base, _AXIS), "</svg>"]) + "\n"
 
 
 def _line_chart(
@@ -127,8 +142,7 @@ def _line_chart(
     """Single-series line chart with one marker per point.
 
     ``boundaries`` draws labelled dashed vertical lines (sub-period
-    starts); a label is free text, so its ``&``, ``<`` and ``>`` are
-    escaped. Axis ranges always cover the data's min and max.
+    starts). Axis ranges always cover the data's min and max.
     """
     if not points:
         raise RiskNetError("cannot chart an empty series")
@@ -137,41 +151,24 @@ def _line_chart(
     to_x, _, _ = _scale(min(xs), max(xs), MARGIN_L, WIDTH - MARGIN_R)
     to_y, y_lo, y_hi = _scale(min(ys), max(ys), HEIGHT - MARGIN_B, MARGIN_T)
 
+    base = _coord(HEIGHT - MARGIN_B)
     parts = []
     for x_value, text in x_ticks:
         x = _coord(to_x(x_value))
-        parts.append(
-            f'<line x1="{x}" y1="{_coord(HEIGHT - MARGIN_B)}" x2="{x}" '
-            f'y2="{_coord(HEIGHT - MARGIN_B + 4)}" stroke="{_AXIS}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{_coord(HEIGHT - MARGIN_B + 18)}" text-anchor="middle" '
-            f'font-size="11" fill="{_AXIS}">{text}</text>'
-        )
+        parts += [
+            _line(x, base, x, _coord(HEIGHT - MARGIN_B + 4), _AXIS),
+            _text(x, _coord(HEIGHT - MARGIN_B + 18), text, "11", _AXIS, ' text-anchor="middle"'),
+        ]
     for x_value, label in boundaries:
         x = _coord(to_x(x_value))
-        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<line x1="{x}" y1="{_coord(MARGIN_T)}" x2="{x}" '
-            f'y2="{_coord(HEIGHT - MARGIN_B)}" stroke="{_MARK}" '
-            f'stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<text x="{_coord(to_x(x_value) + 4)}" y="{_coord(MARGIN_T + 12)}" '
-            f'font-size="10" fill="{_MARK}">{text}</text>'
-        )
-    path = " ".join(
-        f"{'M' if i == 0 else 'L'} {_coord(to_x(x))} {_coord(to_y(y))}"
-        for i, (x, y) in enumerate(points)
-    )
-    parts.append(
-        f'<path d="{path}" fill="none" stroke="{_LINE}" stroke-width="1.5"/>'
-    )
-    for x, y in points:
-        parts.append(
-            f'<circle cx="{_coord(to_x(x))}" cy="{_coord(to_y(y))}" r="2.5" '
-            f'fill="{_LINE}"/>'
-        )
+        parts += [
+            _line(x, _coord(MARGIN_T), x, base, _MARK, more=' stroke-dasharray="4 3"'),
+            _text(_coord(to_x(x_value) + 4), _coord(MARGIN_T + 12), label, "10", _MARK),
+        ]
+    coords = [(_coord(to_x(x)), _coord(to_y(y))) for x, y in points]
+    path = "M " + " L ".join(f"{x} {y}" for x, y in coords)
+    parts.append(f'<path d="{path}" fill="none" stroke="{_LINE}" stroke-width="1.5"/>')
+    parts += [f'<circle cx="{x}" cy="{y}" r="2.5" fill="{_LINE}"/>' for x, y in coords]
     return _frame(title, to_y, y_lo, y_hi, parts)
 
 
@@ -185,24 +182,19 @@ def _band_chart(bands: Sequence[_WeightBand], *, title: str) -> str:
     slot = (WIDTH - MARGIN_L - MARGIN_R) / len(bands)
     bar = min(34.0, slot * 0.5)
 
+    label_y = _coord(HEIGHT - MARGIN_B + 18)
     parts = []
     for i, band in enumerate(bands):
         centre = MARGIN_L + slot * (i + 0.5)
+        left, right = _coord(centre - bar / 2), _coord(centre + bar / 2)
         top = to_y(band.q95)
-        parts.append(
-            f'<rect x="{_coord(centre - bar / 2)}" y="{_coord(top)}" '
-            f'width="{_coord(bar)}" height="{_coord(to_y(band.q05) - top)}" '
-            f'fill="{_BAND}"/>'
-        )
-        parts.append(
-            f'<line x1="{_coord(centre - bar / 2)}" y1="{_coord(to_y(band.mean))}" '
-            f'x2="{_coord(centre + bar / 2)}" y2="{_coord(to_y(band.mean))}" '
-            f'stroke="{_MARK}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_coord(centre)}" y="{_coord(HEIGHT - MARGIN_B + 18)}" '
-            f'text-anchor="middle" font-size="11" fill="{_AXIS}">{band.group}</text>'
-        )
+        mean = _coord(to_y(band.mean))
+        parts += [
+            f'<rect x="{left}" y="{_coord(top)}" width="{_coord(bar)}" '
+            f'height="{_coord(to_y(band.q05) - top)}" fill="{_BAND}"/>',
+            _line(left, mean, right, mean, _MARK, "2"),
+            _text(_coord(centre), label_y, band.group, "11", _AXIS, ' text-anchor="middle"'),
+        ]
     return _frame(title, to_y, y_lo, y_hi, parts)
 
 

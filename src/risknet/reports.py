@@ -69,8 +69,8 @@ class SubPeriod:
     def __post_init__(self) -> None:
         if not self.label.strip():
             raise ConfigError("sub-period label must not be blank")
-        # XML cannot hold a C0 control even escaped, nor UTF-8 a lone surrogate
-        if re.search("[\x00-\x1f\ud800-\udfff]", self.label):
+        # XML cannot hold a C0 control, U+FFFE or U+FFFF even escaped, nor UTF-8 a lone surrogate
+        if re.search("[\x00-\x1f\ud800-\udfff\ufffe\uffff]", self.label):
             raise ConfigError(
                 f"sub-period label {self.label!r} holds a control or surrogate character"
             )
@@ -114,6 +114,8 @@ def _period_slug(label: str) -> str:
     slug = re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
     if not slug:
         raise ConfigError(f"period label {label!r} has no usable characters")
+    if len(slug) > 251:  # with ".csv", the 255 bytes most file systems allow in a name
+        raise ConfigError(f"period label {label!r} makes a file name longer than 255 bytes")
     return slug
 
 

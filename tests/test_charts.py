@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
+import re
+import tempfile
+from functools import cache
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from risknet import charts
 from risknet.charts import _band_chart, _line_chart, _WeightBand, emit_charts
-from risknet.errors import RiskNetError
+from risknet.errors import ConfigError, RiskNetError
 from risknet.pipeline import analyze_panel
 from risknet.reports import StudyConfig, SubPeriod
 from risknet.synthetic import generate_panel
@@ -112,3 +121,44 @@ def test_emit_charts_writes_stable_files(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
     # period boundary marker present in the line charts
     assert ">P<" in first[0].read_text()
+
+
+@cache
+def small_study():
+    panel = generate_panel(10, (2007, 1), (2007, 4), seed=3, stress=None, n_fragile=4)
+    result = analyze_panel(panel, StudyConfig())
+    return result.reports, tuple(net.saved() for net in result.networks)
+
+
+# any character of any plane, or often one that XML escapes, holds only
+# as a discouraged character or cannot hold, or an ASCII letter or digit
+# that gives the label a file name
+LABEL_CHARACTERS = st.one_of(
+    st.characters(), st.sampled_from("&<>'\" A1z\x7f\x85\t\x01\ud800\ufffe\uffff")
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(LABEL_CHARACTERS, min_size=1, max_size=8))
+def test_every_accepted_period_label_reads_back_from_the_charts(label):
+    try:
+        config = StudyConfig(sub_periods=(SubPeriod(label, (2007, 1), (2007, 2)),))
+    except ConfigError:
+        return
+    reports, networks = small_study()
+    with tempfile.TemporaryDirectory() as out:
+        written = emit_charts(reports, networks, config.sub_periods, out)
+        assert len(written) == 4
+        for path in written:
+            root = ElementTree.parse(path).getroot()
+            if path.name != "weights_by_year.svg":
+                marks = root.iterfind("{http://www.w3.org/2000/svg}text[@fill='#b03030']")
+                assert [mark.text for mark in marks] == [label]
+
+
+def test_every_line_and_text_element_is_written_by_one_helper():
+    # _text escapes every text body, so no chart can write one raw
+    source = Path(charts.__file__).read_text(encoding="utf-8")
+    for tag, writer in (("<line", charts._line), ("<text", charts._text)):
+        assert len(re.findall(tag + r"\b", source)) == 1
+        assert tag in inspect.getsource(writer)

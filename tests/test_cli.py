@@ -703,6 +703,13 @@ def test_copied_saved_file_is_refused(panel_csv, tmp_path, capsys, command, save
          "with 1/alpha finite, got 5e-324"),
         (["build", "--input", "x.csv", "--out", "o", "--alpha", "5.5e-309"],
          "with 1/alpha finite, got 5.5e-309"),
+        # a ranking file name past 255 bytes: the tree was half written, then OSError
+        (["analyze", "--input", "x.csv", "--out", "o",
+          "--periods", "A" * 300 + "=2007-01..2007-02"],
+         "makes a file name longer than 255 bytes"),
+        (["rank", "--out", "o",
+          "--periods", "Q=2007-01..2007-02;" + "A" * 300 + "=2007-03..2007-04"],
+         "makes a file name longer than 255 bytes"),
     ],
 )
 def test_usage_error_is_one_json_line(capsys, argv, named):
@@ -749,6 +756,27 @@ def test_unwritable_period_label_is_refused_before_any_write(
         assert tree_bytes(out) == before
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "rank"])
+def test_period_label_too_long_for_a_file_name_is_refused_before_any_write(
+    panel_csv, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(panel_csv), "--charts", "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    periods = "Q=2007-01..2007-02;" + "A" * 252 + "=2007-03..2007-04"
+    argv = [command, "--out", str(out), "--periods", periods]
+    if command == "analyze":
+        argv += ["--input", str(panel_csv), "--charts"]
+    error = single_error(capsys, argv)
+    assert error["error"] == "ConfigError"
+    assert "makes a file name longer than 255 bytes" in error["message"]
+    assert tree_bytes(out) == before
+    # 251 characters and ".csv" make 255 bytes, which a file name can hold
+    periods = periods.replace("A" * 252, "A" * 251)
+    assert main(["rank", "--out", str(out), "--periods", periods]) == 0
+    assert (out / "rankings" / ("a" * 251 + ".csv")).is_file()
 
 
 def test_help_still_exits_zero(capsys):

@@ -339,11 +339,14 @@ DATES = mostly(
 
 @st.composite
 def tables(draw) -> str:
-    """Panel text: a header of 1-4 firms and rows whose dates may be
-    unsorted, repeated or malformed and whose cells may be anything a file
-    holds; a few rows are short or blank."""
+    """Panel text: a header of 1-4 firms, rarely none, a blank one or a
+    repeated one, and rows whose dates may be unsorted, repeated or
+    malformed and whose cells may be anything a file holds; a few rows are
+    short or blank."""
     n = draw(st.integers(1, 4))
-    lines = [",".join(["date"] + [f"F{j}" for j in range(n)])]
+    names = [f"F{j}" for j in range(n)]
+    rare = [[], names[:-1] + [""], names[:-1] + [" \t"], names[:-1] + [" F0"]]
+    lines = [",".join(["date"] + draw(mostly(st.just(names), st.sampled_from(rare), 0.2)))]
     for _ in range(draw(st.integers(0, 5))):
         shape = draw(st.sampled_from(["full"] * 18 + ["short", "blank"]))
         if shape == "blank":

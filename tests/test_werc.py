@@ -332,6 +332,31 @@ def test_two_cliques_joined_below_resolution_raise_on_both_routes():
         kirchhoff_index(spectrum(weighted_laplacian(net)))
 
 
+def test_removal_below_resolution_is_named_after_a_per_matrix_retry(monkeypatch):
+    # two cliques held together by a weak hub F20 and a 1e-20 link: the
+    # whole network resolves, but without F20 the cliques meet only at
+    # the link, so the stack of removals fails to factor and each matrix
+    # is tried alone; only F20's removal is unresolvable
+    rng = np.random.default_rng(3)
+    w = np.zeros((21, 21))
+    for block in (slice(0, 10), slice(10, 20)):
+        w[block, block] = np.triu(rng.uniform(0.1, 1.0, (10, 10)), 1)
+    w = w + w.T
+    w[20, :20] = w[:20, 20] = 0.05
+    w[0, 10] = w[10, 0] = 1e-20
+    sizes = []
+    kernel = spectral._grounded_kirchhoff
+
+    def counted(stack, order, placeholder=None):
+        sizes.append(len(stack))
+        return kernel(stack, order, placeholder)
+
+    monkeypatch.setattr(spectral, "_grounded_kirchhoff", counted)
+    with pytest.raises(NumericalError, match="network without F20 is too small to resolve"):
+        werc_all(from_weights(w, label="2006-01"))
+    assert sizes[1] == 20 and sizes[2:22] == [1] * 20  # one stack, then each alone
+
+
 def test_order_120_peaks_below_four_mib():
     net = random_connected(np.random.default_rng(120), 120)
     werc_all(net)  # warm caches outside the measurement
