@@ -72,8 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _add_command(sub, name: str, summary: str, *, panel: bool = False, periods: bool = True):
+def _add_command(sub, name: str, summary: str, run, *, panel: bool = False, periods: bool = True):
     parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(run=run)
     parser.add_argument("--out", required=True, type=Path, help="output directory")
     parser.add_argument("--config", help="key=value config file")
     if panel:
@@ -95,11 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tail-risk networks of firms and robustness-based rankings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "build", "write per-window networks only", panel=True, periods=False)
-    analyze = _add_command(sub, "analyze", "run the full study", panel=True)
+    _add_command(
+        sub, "build", "write per-window networks only", _cmd_build, panel=True, periods=False
+    )
+    analyze = _add_command(sub, "analyze", "run the full study", _cmd_analyze, panel=True)
     analyze.add_argument("--charts", action="store_true", help="also render SVG charts")
-    _add_command(sub, "rank", "recompute rankings from saved reports")
-    _add_command(sub, "export-charts", "render charts from saved outputs")
+    _add_command(sub, "rank", "recompute rankings from saved reports", _cmd_rank)
+    _add_command(sub, "export-charts", "render charts from saved outputs", _cmd_export_charts)
     return parser
 
 
@@ -156,14 +159,6 @@ def _cmd_export_charts(args: argparse.Namespace, config: reports.StudyConfig) ->
     return 0
 
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "analyze": _cmd_analyze,
-    "rank": _cmd_rank,
-    "export-charts": _cmd_export_charts,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -172,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )
-        return _COMMANDS[args.command](args, _config_from_args(args))
+        return args.run(args, _config_from_args(args))
     except (RiskNetError, OSError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

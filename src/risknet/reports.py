@@ -72,7 +72,7 @@ class SubPeriod:
         # XML cannot hold a C0 control, U+FFFE or U+FFFF even escaped, nor UTF-8 a lone surrogate
         if re.search("[\x00-\x1f\ud800-\udfff\ufffe\uffff]", self.label):
             raise ConfigError(
-                f"sub-period label {self.label!r} holds a control or surrogate character"
+                f"sub-period label {self.label!r} holds a character XML 1.0 or UTF-8 cannot hold"
             )
         if self.start > self.end:
             start, end = ("{:04d}-{:02d}".format(*month) for month in (self.start, self.end))

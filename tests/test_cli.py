@@ -718,6 +718,21 @@ def test_usage_error_is_one_json_line(capsys, argv, named):
     assert named in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, handler",
+    [
+        (["build", "--input", "p.csv", "--out", "o"], "_cmd_build"),
+        (["analyze", "--input", "p.csv", "--out", "o"], "_cmd_analyze"),
+        (["rank", "--out", "o"], "_cmd_rank"),
+        (["export-charts", "--out", "o"], "_cmd_export_charts"),
+    ],
+)
+def test_each_subcommand_parser_carries_its_handler(argv, handler):
+    from risknet import cli
+
+    assert cli._build_parser().parse_args(argv).run is getattr(cli, handler)
+
+
 def test_tiny_alpha_is_still_a_tail_level(panel_csv, tmp_path):
     # 1/alpha is finite: no firm has the tail's days, and every weight is 0
     out = tmp_path / "out"
@@ -734,6 +749,9 @@ def test_tiny_alpha_is_still_a_tail_level(panel_csv, tmp_path):
         # timeseries.csv could not encode halfway through the tree
         pytest.param(b"A\xff=2007-01..2007-01;B=2007-02..2007-02".decode("utf-8", "surrogateescape"),
                      r"'A\udcff'", id="not-utf8"),
+        # XML 1.0 excludes U+FFFE and U+FFFF: density.svg did not parse
+        pytest.param("A\ufffeB=2007-01..2007-02;Q=2007-03..2007-04", r"'A\ufffeB'",
+                     id="noncharacter"),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "rank"])
@@ -750,7 +768,7 @@ def test_unwritable_period_label_is_refused_before_any_write(
     error = single_error(capsys, argv)
     assert error == {
         "error": "ConfigError",
-        "message": f"sub-period label {shown} holds a control or surrogate character",
+        "message": f"sub-period label {shown} holds a character XML 1.0 or UTF-8 cannot hold",
     }
     if command == "rank":
         assert tree_bytes(out) == before

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from graphgen import from_weights, random_connected
 from oracles import effective_resistance_oracle, kirchhoff_index, weighted_laplacian
-from risknet.errors import DisconnectedNetworkError
+from risknet.errors import DisconnectedNetworkError, NumericalError
 from risknet.network import build_directed, symmetrize
 from risknet.spectral import (
     barrat_clustering,
@@ -294,3 +294,6 @@ def test_spectrum_rejects_non_laplacian():
         normalized_kirchhoff(1.0, 1)
     with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
         spectrum(np.zeros((2, 3)))
+    # symmetric with zero row sums, but its eigenvalues are 0 and -2
+    with pytest.raises(NumericalError, match="negative eigenvalue"):
+        spectrum(np.array([[-1.0, 1.0], [1.0, -1.0]]))
