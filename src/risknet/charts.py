@@ -198,17 +198,15 @@ def _band_chart(bands: Sequence[_WeightBand], *, title: str) -> str:
     return _frame(title, to_y, y_lo, y_hi, parts)
 
 
-def _window_ticks(rows: Sequence[tuple]) -> list[tuple[float, str]]:
+def _window_ticks(rows: Sequence) -> list[tuple[float, str]]:
     step = max(1, len(rows) // 8)
-    return [(row[0], row[1]) for row in rows[::step]]
+    return [(row.window, row.label) for row in rows[::step]]
 
 
-def _boundaries(
-    rows: Sequence[tuple], sub_periods: Sequence[SubPeriod]
-) -> list[tuple[float, str]]:
+def _boundaries(rows: Sequence, sub_periods: Sequence[SubPeriod]) -> list[tuple[float, str]]:
     marks = []
     for period in sub_periods:
-        starts = [row[0] for row in rows if row[5] == period.label]
+        starts = [row.window for row in rows if row.period == period.label]
         if starts:
             marks.append((min(starts), period.label))
     return marks
@@ -218,11 +216,11 @@ def _write_svg(svg: str, path: Path) -> None:
     path.write_text(svg, encoding="utf-8")
 
 
-# (file, column of the time-series rows, title) of each line chart
+# (column of the time series, which names the file, and title) of each line chart
 _LINE_CHARTS = (
-    ("normalized_kirchhoff.svg", 3, "Normalized Kirchhoff index by window"),
-    ("density.svg", 2, "Network density by window"),
-    ("median_clustering.svg", 4, "Median weighted clustering by window"),
+    ("normalized_kirchhoff", "Normalized Kirchhoff index by window"),
+    ("density", "Network density by window"),
+    ("median_clustering", "Median weighted clustering by window"),
 )
 
 
@@ -238,10 +236,11 @@ def emit_charts(
     marks = _boundaries(rows, sub_periods)
     ticks = _window_ticks(rows)
     charts = {
-        name: _line_chart(
-            [(row[0], row[column]) for row in rows], title=title, x_ticks=ticks, boundaries=marks
+        f"{column}.svg": _line_chart(
+            [(row.window, getattr(row, column)) for row in rows],
+            title=title, x_ticks=ticks, boundaries=marks,
         )
-        for name, column, title in _LINE_CHARTS
+        for column, title in _LINE_CHARTS
     }
     bands = _weight_distribution_stats(networks)
     if bands:

@@ -19,8 +19,10 @@ import json
 import logging
 import math
 import re
+from collections import namedtuple
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -303,9 +305,9 @@ class RobustnessReport:
                     f"with surviving order {order}"
                 )
         m = len(self.analyzed_firms)
-        for key in _VERTEX_KEYS[1:]:
-            if len(getattr(self, key)) != m:
-                raise ValueError(f"{key} has {len(getattr(self, key))} entries for {m} firms")
+        for key, name, _ in _REPORT_VERTICES[1:]:
+            if len(getattr(self, name)) != m:
+                raise ValueError(f"{key} has {len(getattr(self, name))} entries for {m} firms")
         if m < 3:
             raise ValueError(f"need at least three vertices, got {m}")
         _distinct("firms", self.firms, ValueError)
@@ -526,31 +528,30 @@ def report_from_dict(payload: dict) -> RobustnessReport:
             raise NetworkFormatError(f"unsupported report schema version {version!r}")
         header = {key: _field(payload, key, kind) for key, kind in _REPORT_HEADER}
         vertices = _field(payload, "vertices", "a list")
-        column = {key: [v[key] for v in vertices] for key in _VERTEX_KEYS}
+        column = {key: [v[key] for v in vertices] for key, _, _ in _REPORT_VERTICES}
         column["werc"] = [math.inf if x == "inf" else x for x in column["werc"]]
-        analyzed = _checked("firm", column["firm"], "a string")
-        numbers = {
-            key: _checked(key, column[key], "a number or 'inf'" if key == "werc" else "a number")
-            for key in ("werc", "clustering", "strength")
-        }
-        orders = _checked("surviving_order", column["surviving_order"], "an integer or null")
+        columns = {name: _checked(key, column[key], kind) for key, name, kind in _REPORT_VERTICES}
     except (KeyError, TypeError, OverflowError) as exc:
         raise NetworkFormatError(f"bad report payload: {exc}") from None
     try:
-        return RobustnessReport(**header, **numbers, analyzed_firms=analyzed,
-                                surviving_order=orders)
+        return RobustnessReport(**header, **columns)
     except ValueError as exc:
         raise NetworkFormatError(str(exc)) from None
 
 
-# A report's header after its schema version, in file order: each key is
-# the report's attribute, and each kind its saved type (see _KINDS).
+# A report's header after its schema version, then a vertex's keys, each in
+# file order with its saved kind (see _KINDS). A header key is the report's
+# attribute; a vertex key is followed by the report's column that holds it.
 _REPORT_HEADER = (
     ("window_id", "an integer"), ("label", "a string"), ("firms", "a list of strings"),
     ("component_note", "a string or null"), ("density", "a number"),
     ("kirchhoff", "a number"), ("normalized_kirchhoff", "a number"),
 )
-_VERTEX_KEYS = ("firm", "werc", "clustering", "strength", "surviving_order")
+_REPORT_VERTICES = (
+    ("firm", "analyzed_firms", "a string"), ("werc", "werc", "a number or 'inf'"),
+    ("clustering", "clustering", "a number"), ("strength", "strength", "a number"),
+    ("surviving_order", "surviving_order", "an integer or null"),
+)
 
 def _write_json(payload: dict, path: str | Path) -> None:
     """Write ``payload`` as one line, ``json.dumps`` by the json module's C
@@ -576,10 +577,9 @@ def write_report(report: RobustnessReport, path: str | Path) -> None:
     an infinite removal impact as "inf", by :func:`_write_json`."""
     payload = {"schema_version": REPORT_SCHEMA_VERSION}
     payload.update((key, getattr(report, key)) for key, _ in _REPORT_HEADER)
-    werc = ["inf" if w == math.inf else w for w in report.werc]
-    columns = (report.analyzed_firms, werc, report.clustering, report.strength,
-               report.surviving_order)
-    payload["vertices"] = [dict(zip(_VERTEX_KEYS, row)) for row in zip(*columns)]
+    column = {key: getattr(report, name) for key, name, _ in _REPORT_VERTICES}
+    column["werc"] = ["inf" if w == math.inf else w for w in report.werc]
+    payload["vertices"] = [dict(zip(column, row)) for row in zip(*column.values())]
     _write_json(payload, path)
 
 
@@ -698,11 +698,8 @@ def write_reports(reports: Sequence[RobustnessReport], out_dir: str | Path) -> l
 
 
 def _write_ranking(table: RankingTable, path: Path) -> None:
-    _write_csv(
-        ("firm", "mean_werc", "rank", "quartile", "coverage"),
-        ((r.firm, r.mean_werc, r.rank, r.quartile, r.coverage) for r in table.rows),
-        path,
-    )
+    header = [field.name for field in fields(RankingRow)]
+    _write_csv(header, map(attrgetter(*header), table.rows), path)
 
 
 def write_rankings(rankings: Sequence[RankingTable], out_dir: str | Path) -> list[Path]:
@@ -727,13 +724,19 @@ def _period_of(label: str, sub_periods: Sequence[SubPeriod]) -> str:
     return ""
 
 
+# A row of timeseries.csv, whose header is its fields.
+_TimeseriesRow = namedtuple(
+    "_TimeseriesRow", "window label density normalized_kirchhoff median_clustering period"
+)
+
+
 def timeseries_rows(
     reports: Sequence[RobustnessReport], sub_periods: Sequence[SubPeriod]
-) -> list[tuple]:
-    """One row per window: id, label, density, normalized Kirchhoff, median
-    clustering, and the sub-period the window falls in (empty when none)."""
+) -> list[_TimeseriesRow]:
+    """One row per window, in window order: its median clustering, and the
+    sub-period it falls in (empty when none), beside its report's values."""
     return [
-        (
+        _TimeseriesRow(
             report.window_id,
             report.label,
             report.density,
@@ -750,9 +753,5 @@ def write_timeseries(
 ) -> Path:
     path = Path(out_dir) / "timeseries.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        ("window", "label", "density", "normalized_kirchhoff", "median_clustering", "period"),
-        timeseries_rows(reports, sub_periods),
-        path,
-    )
+    _write_csv(_TimeseriesRow._fields, timeseries_rows(reports, sub_periods), path)
     return path

@@ -36,6 +36,9 @@ SCALE = 0.01  # daily return units per factor-model unit
 
 def month_span(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
     """All (year, month) pairs from start to end inclusive."""
+    for month in (start, end):
+        if not 1 <= month[1] <= 12:  # a start month past 12 would never end the loop below
+            raise ValueError(f"month out of range in {month}")
     if start > end:
         raise ValueError(f"start month {start} after end month {end}")
     months = []
@@ -49,18 +52,15 @@ def month_span(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, 
 
 
 def _weekday_dates(start: tuple[int, int], end: tuple[int, int]) -> list[dt.date]:
-    """Every Monday-Friday date in the inclusive month range."""
-    last_y, last_m = end
-    if last_m == 12:
-        stop = dt.date(last_y + 1, 1, 1)
-    else:
-        stop = dt.date(last_y, last_m + 1, 1)
-    day = dt.date(start[0], start[1], 1)
+    """Every Monday-Friday date in the inclusive month range (refused when
+    reversed, by :func:`month_span`)."""
     out = []
-    while day < stop:
-        if day.weekday() < 5:
-            out.append(day)
-        day += dt.timedelta(days=1)
+    for year, month in month_span(start, end):
+        day = dt.date(year, month, 1)
+        while day.month == month:
+            if day.weekday() < 5:
+                out.append(day)
+            day += dt.timedelta(days=1)
     return out
 
 

@@ -8,6 +8,7 @@ import math
 import re
 import statistics
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,71 @@ def test_window_report_inverts_one_grounded_matrix_per_non_cut_removal_and_one_b
     assert spectra == []
     # the placeholder entry keeps every removal at the base's grounded order
     assert orders == [6] * (1 + sum(math.isfinite(v) for v in report.werc))
+
+
+def pendant_panel():
+    """The small study's panel, where in each odd month F011 trades on the
+    first 15 days alone and every firm but F003 and F011 not on the first
+    three. Under alpha 0.1, a pair needs 15 common days, so F011 keeps one
+    neighbour, F003 of its sector, a cut vertex in those windows; the even
+    months have none."""
+    panel = generate_panel(12, (2007, 1), (2007, 6), seed=9, stress=None)
+    mask = panel.mask.copy()
+    months = np.array([day.month for day in panel.dates])
+    for month in (1, 3, 5):
+        days = np.flatnonzero(months == month)
+        mask[days[15:], 11] = False
+        mask[days[:3]] &= np.isin(np.arange(12), (3, 11))
+    return panel_from_rows(panel.dates, panel.firms, panel.returns, mask)
+
+
+def test_study_factors_one_matrix_per_non_cut_removal_and_one_base(monkeypatch):
+    # the work of the removal pass: per window, the base and each removal of
+    # a vertex that cuts nothing, the ground's own included; a stack that
+    # fails is factored again one matrix at a time, and those are counted apart
+    factored, retried = [], []
+    real_cholesky = np.linalg.cholesky
+
+    def counting_cholesky(stack):
+        count = stack.shape[0] if stack.ndim == 3 else 1
+        factored.append(count)
+        try:
+            return real_cholesky(stack)
+        except np.linalg.LinAlgError:
+            if count > 1:
+                retried.append(count)
+            raise
+
+    monkeypatch.setattr(spectral.np.linalg, "cholesky", counting_cholesky)
+    result = analyze_panel(pendant_panel(), StudyConfig(alpha=0.1))
+    cuts = [sum(k is not None for k in r.surviving_order) for r in result.reports]
+    assert len(cuts) == 6 and cuts[::2] == [1, 1, 1] and cuts[1::2] == [0, 0, 0]
+    # the cut vertex is not the strongest, the ground, whose removal is solved apart
+    assert all(
+        r.surviving_order[3] and max(r.strength) > r.strength[3] for r in result.reports[::2]
+    )
+    assert retried == []
+    expected = sum(1 + r.surviving_order.count(None) for r in result.reports)
+    assert sum(factored) - sum(retried) == expected
+
+
+def test_study_memory_grows_by_at_most_one_and_a_half_matrices_per_window(tmp_path):
+    # the tracemalloc peak of the study loop, at 12 and at 24 windows of 60
+    # firms; n^2 * 8 bytes is one window's dense weight matrix
+    config, peaks = StudyConfig(), []
+    for end in ((2005, 12), (2006, 12)):
+        # the stress months lie outside the range, so every window keeps all 60 firms
+        panel = generate_panel(60, (2005, 1), end, seed=1, n_fragile=30)
+        tracemalloc.start()
+        try:
+            result = analyze_panel(panel, config)
+            write_study(result, config, tmp_path / str(end[0]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(r.analyzed_firms) for r in result.reports] == [60] * (12 * (end[0] - 2004))
+        peaks.append(peak)
+    assert (peaks[1] - peaks[0]) / 12 <= 1.5 * 60**2 * 8
 
 
 def test_werc_searches_components_once_and_window_report_twice(monkeypatch):

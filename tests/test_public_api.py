@@ -8,6 +8,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -17,7 +18,10 @@ import pytest
 import risknet
 from risknet import errors
 from risknet.panel import save_returns
-from risknet.reports import _REPORT_HEADER, _VERTEX_KEYS, RobustnessReport, StudyConfig
+from risknet.pipeline import analyze_panel, write_study
+from risknet.reports import (
+    _REPORT_HEADER, _REPORT_VERTICES, RankingRow, RobustnessReport, StudyConfig, timeseries_rows,
+)
 from risknet.synthetic import generate_panel
 
 TOP_LEVEL = {
@@ -110,14 +114,63 @@ def test_study_config_fields_are_pinned():
 
 def test_report_fields_are_pinned_to_the_saved_layout():
     # a new field must pass through the writer, the reader and this contract:
-    # each is a key of the saved header or of a vertex, whose "firm" is an analyzed firm
+    # each is a key of the saved header or the column that holds a vertex key
     fields = [f.name for f in dataclasses.fields(RobustnessReport)]
     assert fields == [
         "window_id", "label", "firms", "analyzed_firms", "component_note", "density",
         "kirchhoff", "normalized_kirchhoff", "werc", "clustering", "strength", "surviving_order",
     ]
-    vertex = ["analyzed_firms" if key == "firm" else key for key in _VERTEX_KEYS]
+    vertex = [name for _, name, _ in _REPORT_VERTICES]
     assert sorted([key for key, _ in _REPORT_HEADER] + vertex) == sorted(fields)
+
+
+def _integer_subscripts_of_rows(tree: ast.Module):
+    """(function, line) of each integer subscript, ``x[2]`` or ``x[-1]``,
+    in a function that reads time-series rows: one with a ``rows``
+    parameter or a call of ``timeseries_rows``; and the set of those functions."""
+    found, readers = [], set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(func))
+        if not any(arg.arg == "rows" for arg in func.args.args) and not any(
+            isinstance(node, ast.Name) and node.id == "timeseries_rows" for node in nodes
+        ):
+            continue
+        readers.add(func.name)
+        for node in nodes:
+            if isinstance(node, ast.Subscript):
+                index = node.slice
+                if isinstance(index, ast.UnaryOp):
+                    index = index.operand
+                if isinstance(index, ast.Constant) and type(index.value) is int:
+                    found.append((func.name, node.lineno))
+    return found, readers
+
+
+def test_saved_tables_take_their_columns_from_one_declaration(tmp_path):
+    # timeseries.csv's header is its row type's fields, a ranking table's its
+    # row's fields and a report vertex's the keys of the vertex table; charts
+    # reads the time series by those names, never by position
+    config = StudyConfig()
+    result = analyze_panel(generate_panel(6, (2007, 1), (2007, 3), seed=3, stress=None), config)
+    write_study(result, config, tmp_path)
+    rows = timeseries_rows(result.reports, config.sub_periods)
+    header = (tmp_path / "timeseries.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.split(",") == list(type(rows[0])._fields)
+    tables = sorted((tmp_path / "rankings").glob("*.csv"))
+    assert len(tables) == 5
+    names = [field.name for field in dataclasses.fields(RankingRow)]
+    for table in tables:
+        assert table.read_text(encoding="utf-8").splitlines()[0].split(",") == names
+    saved = json.loads((tmp_path / "reports" / "window_1.json").read_text(encoding="utf-8"))
+    assert [list(vertex) for vertex in saved["vertices"]] == (
+        [[key for key, _, _ in _REPORT_VERTICES]] * len(saved["vertices"])
+    )
+    charts = Path(risknet.__file__).parent / "charts.py"
+    found, readers = _integer_subscripts_of_rows(ast.parse(charts.read_text(encoding="utf-8")))
+    assert readers >= {"_window_ticks", "_boundaries", "emit_charts"}
+    assert found == []
 
 
 def test_readme_library_use_block_runs(tmp_path, monkeypatch):

@@ -297,3 +297,12 @@ def test_spectrum_rejects_non_laplacian():
     # symmetric with zero row sums, but its eigenvalues are 0 and -2
     with pytest.raises(NumericalError, match="negative eigenvalue"):
         spectrum(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+
+def test_spectrum_refuses_a_failed_eigensolver(monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NumericalError, match="eigensolver failed on 3x3 Laplacian"):
+        spectrum(weighted_laplacian(triangle()))

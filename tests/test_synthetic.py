@@ -60,3 +60,9 @@ def test_generator_input_validation():
         generate_panel(2, (2007, 1), (2007, 2), seed=1)
     with pytest.raises(ValueError, match="leave some firms"):
         generate_panel(5, (2007, 1), (2007, 2), seed=1, n_fragile=5)
+    with pytest.raises(ValueError, match="after end month"):
+        generate_panel(5, (2009, 1), (2008, 1), stress=None)
+    with pytest.raises(ValueError, match=r"month out of range in \(2007, 13\)"):
+        generate_panel(5, (2007, 13), (2008, 1), stress=None)
+    with pytest.raises(ValueError, match=r"month out of range in \(2007, 13\)"):
+        generate_panel(5, (2007, 1), (2007, 2), stress=((2007, 1), (2007, 13)))
